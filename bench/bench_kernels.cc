@@ -12,6 +12,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "tensor/packed.h"
 #include "tensor/packed_simd.h"
 #include "tensor/random.h"
+#include "util/parallel.h"
 
 namespace qt8 {
 namespace {
@@ -212,8 +214,8 @@ BM_GemmQuantized(benchmark::State &state)
 }
 BENCHMARK(BM_GemmQuantized)->Arg(32)->Arg(64)->Arg(128)->Arg(512);
 
-/// Decode-shaped packed GEMV (m = 1, weights in Linear's [out, in]
-/// layout) — the serve engine's per-token hot call.
+/// Decode-shaped packed GEMV (m = 1, codes in Linear's [in, out]
+/// layout, trans_w = false) — the serve engine's per-token hot call.
 void
 BM_GemvQuantizedDecode(benchmark::State &state)
 {
@@ -225,7 +227,7 @@ BM_GemvQuantizedDecode(benchmark::State &state)
     rng.fillNormal(b);
     const PackedTensor pb = PackedTensor::pack(b, q);
     for (auto _ : state) {
-        gemmQuantized(a, false, pb, true, c);
+        gemmQuantized(a, false, pb, false, c);
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -364,30 +366,50 @@ smokeMain()
     return failures == 0 ? 0 : 1;
 }
 
-/// Time one GEMM variant: average seconds per call over enough
-/// iterations to cover ~0.2 s (2 warmup calls first).
+/// Time one GEMM variant: 7 repetitions, each the average seconds per
+/// call over enough iterations to cover ~0.05 s (2 warmup calls
+/// first). Returns GFLOP/s of the fastest repetition and the
+/// interquartile range of all seven, so a row carries its own spread on
+/// a shared host.
+struct GemmRate
+{
+    double gflops; ///< From the minimum time.
+    double iqr;    ///< GFLOP/s at the first minus the third quartile time.
+};
+
 template <typename Fn>
-double
-timeGemm(Fn &&fn)
+GemmRate
+timeGemm(double flops, Fn &&fn)
 {
     fn();
     fn();
-    int iters = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        fn();
-        ++iters;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    } while (elapsed < 0.2 && iters < 1000);
-    return elapsed / iters;
+    std::vector<double> reps;
+    for (int r = 0; r < 7; ++r) {
+        int iters = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        double elapsed = 0.0;
+        do {
+            fn();
+            ++iters;
+            elapsed = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        } while (elapsed < 0.05 && iters < 1000);
+        reps.push_back(elapsed / iters);
+    }
+    std::sort(reps.begin(), reps.end());
+    // Quartiles of 7 sorted samples (exclusive method): 2nd and 6th.
+    const auto rate = [&](double sec) { return flops / sec / 1e9; };
+    return {rate(reps[0]), rate(reps[1]) - rate(reps[5])};
 }
 
 /// --gemm-json[=path]: packed-vs-fp32 sweep over decode-shaped GEMV and
-/// prefill GEMM sizes, written as JSON (GFLOP/s, operand bytes moved,
-/// resident weight bytes, speedup).
+/// prefill GEMM sizes, written as JSON (GFLOP/s with IQR, operand bytes
+/// moved, resident weight bytes, speedup). Every shape runs both packed
+/// orientations — trans_w=true (W stored [n, k]) and trans_w=false (W^T
+/// stored [k, n], the Linear layout) — against the fp32 Linear forward
+/// (gemm with trans_w=true), plus the panel arm alone, so each row
+/// shows which arm ran and what the other would have done.
 int
 gemmJsonMain(const std::string &path)
 {
@@ -395,19 +417,25 @@ gemmJsonMain(const std::string &path)
     struct Case {
         int64_t m, d;
     };
-    // m = 1 / 8: single-stream and batched decode GEMVs; m = 64:
-    // prefill-shaped. d covers the model ladder's hidden sizes.
-    const std::vector<Case> cases = {
-        {1, 256}, {1, 512}, {1, 1024}, {8, 512}, {64, 512}};
+    // m = 1 / 2 / 4: single-stream and few-stream decode GEMVs (the
+    // gather arm's side of the m < 8 crossover); m = 8: the panel's
+    // side; m = 64: prefill-shaped. d covers the model ladder's hidden
+    // sizes.
+    const std::vector<Case> cases = {{1, 256}, {1, 512}, {1, 1024},
+                                     {2, 512}, {4, 512}, {8, 512},
+                                     {64, 512}};
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"simd\": \"%s\",\n  \"sweep\": [\n",
-                 detail::packedSimdName());
-    std::printf("gemm sweep (simd=%s):\n", detail::packedSimdName());
+    std::fprintf(f, "{\n  \"simd\": \"%s\",\n  \"threads\": %d,\n"
+                    "  \"sweep\": [\n",
+                 detail::packedSimdName(), kernelThreads());
+    std::printf("gemm sweep (simd=%s, threads=%d; GFLOP/s, min of 7 with "
+                "IQR):\n",
+                detail::packedSimdName(), kernelThreads());
 
     for (size_t ci = 0; ci < cases.size(); ++ci) {
         const int64_t m = cases[ci].m, n = cases[ci].d, k = cases[ci].d;
@@ -415,18 +443,14 @@ gemmJsonMain(const std::string &path)
         Tensor a({m, k}), w({n, k}), c({m, n});
         rng.fillNormal(a);
         rng.fillNormal(w);
-        const PackedTensor pw = PackedTensor::pack(w, q);
         // The fp32 baseline runs on the decoded (fake-quantized)
         // weights — the tensor the packed codes replace.
+        const PackedTensor pw = PackedTensor::pack(w, q);
+        const PackedTensor pwt = pw.transposed();
         const Tensor wf = pw.unpack();
-
-        const double s_fp32 =
-            timeGemm([&] { gemm(a, false, wf, true, c); });
-        const double s_packed =
-            timeGemm([&] { gemmQuantized(a, false, pw, true, c); });
         const double flops = 2.0 * static_cast<double>(m * n * k);
-        const double g_fp32 = flops / s_fp32 / 1e9;
-        const double g_packed = flops / s_packed / 1e9;
+        const GemmRate fp32 =
+            timeGemm(flops, [&] { gemm(a, false, wf, true, c); });
         // Operand traffic per call: activations + weights + output.
         const double mb_fp32 =
             4.0 * static_cast<double>(m * k + n * k + m * n);
@@ -434,21 +458,40 @@ gemmJsonMain(const std::string &path)
             4.0 * static_cast<double>(m * k + m * n) +
             static_cast<double>(n * k);
 
-        std::fprintf(
-            f,
-            "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
-            "\"fp32_gflops\": %.3f, \"packed_gflops\": %.3f, "
-            "\"speedup\": %.3f, \"fp32_weight_bytes\": %zu, "
-            "\"packed_weight_bytes\": %zu, \"fp32_bytes_moved\": %.0f, "
-            "\"packed_bytes_moved\": %.0f}%s\n",
-            static_cast<long long>(m), static_cast<long long>(n),
-            static_cast<long long>(k), g_fp32, g_packed,
-            s_fp32 / s_packed, pw.fp32Bytes(), pw.packedBytes(), mb_fp32,
-            mb_packed, ci + 1 < cases.size() ? "," : "");
-        std::printf("  m=%-3lld d=%-5lld fp32 %8.3f GFLOP/s   packed "
-                    "%8.3f GFLOP/s   speedup %.2fx\n",
-                    static_cast<long long>(m), static_cast<long long>(n),
-                    g_fp32, g_packed, s_fp32 / s_packed);
+        for (const bool tw : {true, false}) {
+            const PackedTensor &p = tw ? pw : pwt;
+            const GemmRate packed = timeGemm(
+                flops, [&] { gemmQuantized(a, false, p, tw, c); });
+            const GemmRate panel = timeGemm(flops, [&] {
+                detail::gemmQuantizedPanel(a, false, p, tw, c);
+            });
+            const bool gather = detail::gemmQuantizedUsesGather(m, tw);
+            const bool last = ci + 1 == cases.size() && !tw;
+            std::fprintf(
+                f,
+                "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
+                "\"trans_w\": %s, \"arm\": \"%s\", "
+                "\"fp32_gflops\": %.3f, \"fp32_iqr\": %.3f, "
+                "\"packed_gflops\": %.3f, \"packed_iqr\": %.3f, "
+                "\"panel_gflops\": %.3f, \"panel_iqr\": %.3f, "
+                "\"speedup\": %.3f, \"fp32_weight_bytes\": %zu, "
+                "\"packed_weight_bytes\": %zu, \"fp32_bytes_moved\": "
+                "%.0f, \"packed_bytes_moved\": %.0f}%s\n",
+                static_cast<long long>(m), static_cast<long long>(n),
+                static_cast<long long>(k), tw ? "true" : "false",
+                gather ? "gather" : "panel", fp32.gflops, fp32.iqr,
+                packed.gflops, packed.iqr, panel.gflops, panel.iqr,
+                packed.gflops / fp32.gflops, p.fp32Bytes(),
+                p.packedBytes(), mb_fp32, mb_packed, last ? "" : ",");
+            std::printf("  m=%-3lld d=%-5lld trans_w=%d  fp32 %7.3f "
+                        "(%.3f)  packed[%s] %7.3f (%.3f)  panel %7.3f "
+                        "(%.3f)  speedup %.2fx\n",
+                        static_cast<long long>(m),
+                        static_cast<long long>(n), tw ? 1 : 0,
+                        fp32.gflops, fp32.iqr, gather ? "gather" : "panel",
+                        packed.gflops, packed.iqr, panel.gflops, panel.iqr,
+                        packed.gflops / fp32.gflops);
+        }
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -112,7 +112,11 @@ Linear::ensurePacked(const Quantizer &q)
         q.quantizeInPlace(wq.data(), static_cast<size_t>(wq.numel()), h);
         trace::healthAccumulate("weight", h);
     }
-    packed_ = PackedTensor::pack(weight.value, q);
+    // Keep W^T ([in, out], one copy): op(W) column j is then code
+    // column j, so each k step of a decode GEMV reads 8 contiguous codes
+    // per output strip, the layout gemmQuantized's small-m gather arm
+    // wants.
+    packed_ = PackedTensor::pack(weight.value, q).transposed();
 }
 
 Tensor
@@ -169,7 +173,7 @@ Linear::forwardPacked(QuantSession &qs, const Tensor &x,
     }
 
     Tensor y({xq.dim(0), out_});
-    gemmQuantized(xq, false, packed_, true, y, 1.0f, 0.0f, &epi);
+    gemmQuantized(xq, false, packed_, false, y, 1.0f, 0.0f, &epi);
     for (size_t s = 0; s < nh; ++s)
         trace::healthAccumulate(points[s], healths[s]);
 

@@ -125,8 +125,9 @@ class Linear
     Tensor aq_, bq_; ///< Quantized LoRA factors (LoRA mode).
     bool packed_fwd_ = false; ///< Last forward ran the packed path.
 
-    // Packed 8-bit weight codes, cached across forwards (weights are
-    // static at inference; invalidatePacked() after mutating them).
+    // Packed 8-bit codes of W^T ([in, out]), cached across forwards
+    // (weights are static at inference; invalidatePacked() after
+    // mutating them).
     PackedTensor packed_;
 };
 

@@ -59,6 +59,25 @@ PackedTensor::unpack() const
     return out;
 }
 
+PackedTensor
+PackedTensor::transposed() const
+{
+    PackedTensor p = *this;
+    const int64_t rows = dim(0), cols = dim(1);
+    p.shape_ = {cols, rows};
+    // 32x32 blocks: with a power-of-two row count the strided writes of
+    // one source row land in a few L1 sets, which 32 lines still fit.
+    constexpr int64_t kB = 32;
+    const uint8_t *src = codes_.data();
+    uint8_t *dst = p.codes_.data();
+    for (int64_t r0 = 0; r0 < rows; r0 += kB)
+        for (int64_t c0 = 0; c0 < cols; c0 += kB)
+            for (int64_t r = r0; r < std::min(rows, r0 + kB); ++r)
+                for (int64_t c = c0; c < std::min(cols, c0 + kB); ++c)
+                    dst[c * rows + r] = src[r * cols + c];
+    return p;
+}
+
 namespace {
 
 /// Output tile: 64 rows x 8 columns (8 = the SIMD accumulator width).
@@ -69,6 +88,11 @@ constexpr int64_t kPackedNR = 8;
 constexpr int64_t kPackedKChunk = 256;
 /// Same parallelism work threshold as the fp32 blocked GEMM.
 constexpr int64_t kPackedParallelFlops = 16384;
+/// The gather arm runs gemmQuantized for m < kGatherMaxM (its
+/// register-resident accumulators fit at most 7 rows), kGatherNCols
+/// output columns (4 strips) per work item.
+constexpr int64_t kGatherMaxM = 8;
+constexpr int64_t kGatherNCols = 32;
 
 /// Scalar fallback for the column-interleaved dot (same loop the SIMD
 /// kernel vectorizes; products are exact in double either way).
@@ -155,12 +179,47 @@ checkQuantizedShapes(const Tensor &a, bool trans_a, const PackedTensor &w,
         throw std::invalid_argument("gemmQuantized: shape mismatch");
 }
 
-} // namespace
+/// alpha/beta + fused epilogue for the output block [i0, i0+bm) x
+/// [j0, j0+bn) while it is hot. @p acc holds its double sums with row
+/// stride @p ldacc; the final rounding matches gemm() exactly (double
+/// alpha*acc + beta*prev, one cast to float).
+void
+storeBlock(const double *acc, int64_t ldacc, int64_t i0, int64_t bm,
+           int64_t j0, int64_t bn, int64_t n, float alpha, float beta,
+           const GemmEpilogue *epi, QuantHealth *local, float *pc)
+{
+    for (int64_t ii = 0; ii < bm; ++ii) {
+        float *rc = pc + (i0 + ii) * n;
+        for (int64_t jj = 0; jj < bn; ++jj) {
+            const int64_t j = j0 + jj;
+            const double prev =
+                beta == 0.0f ? 0.0 : static_cast<double>(beta) * rc[j];
+            float y = static_cast<float>(
+                static_cast<double>(alpha) * acc[ii * ldacc + jj] + prev);
+            if (epi != nullptr)
+                y = applyEpilogue(*epi, local, y, i0 + ii, j, n);
+            rc[j] = y;
+        }
+    }
+}
+
+/// Merge one thread's per-stage health partials into the stages' sinks.
+void
+mergeHealth(const GemmEpilogue *epi, const std::vector<QuantHealth> &local)
+{
+    if (local.empty())
+        return;
+#pragma omp critical(qt8_gemm_quantized_health)
+    for (size_t s = 0; s < local.size(); ++s) {
+        if (epi->stages[s].health != nullptr)
+            epi->stages[s].health->merge(local[s]);
+    }
+}
 
 void
-gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
-              bool trans_w, Tensor &c, float alpha, float beta,
-              const GemmEpilogue *epi)
+gemmQuantizedImpl(bool allow_gather, const Tensor &a, bool trans_a,
+                  const PackedTensor &w, bool trans_w, Tensor &c,
+                  float alpha, float beta, const GemmEpilogue *epi)
 {
     QT8_TRACE_SCOPE("gemm_quantized");
     int64_t m, n, k;
@@ -175,12 +234,41 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
     const int64_t lda = a.dim(1);
     const int64_t ldw = w.dim(1); // code-row stride
 
+    // Small m, op(W) column j = code column j: the gather arm reads each
+    // k step's 8 contiguous codes per strip once for all m rows. From
+    // m = 8 on, the panel arm shares each decoded chunk by up to 64
+    // rows.
+    const bool gather =
+        allow_gather && detail::gemmQuantizedUsesGather(m, trans_w);
     const int64_t tiles_m = (m + kPackedMBlock - 1) / kPackedMBlock;
     const int64_t strips_n = (n + kPackedNR - 1) / kPackedNR;
     const int64_t tiles = tiles_m * strips_n;
     const bool par =
         m * n * k > kPackedParallelFlops && kernelThreads() > 1;
     const size_t n_stages = epi != nullptr ? epi->stages.size() : 0;
+
+    if (gather) {
+#pragma omp parallel if (par)
+        {
+            // Work item: up to kGatherNCols output columns of every row.
+            const int64_t groups = (n + kGatherNCols - 1) / kGatherNCols;
+            double acc[kGatherMaxM * kGatherNCols];
+            std::vector<QuantHealth> local(n_stages);
+#pragma omp for schedule(static)
+            for (int64_t g = 0; g < groups; ++g) {
+                const int64_t j0 = g * kGatherNCols;
+                const int64_t bn = std::min(n - j0, kGatherNCols);
+                std::fill(acc, acc + m * kGatherNCols, 0.0);
+                detail::gatherAccum(pa, trans_a ? 1 : lda, trans_a ? lda : 1,
+                                    m, k, codes + j0, ldw, bn, table, acc,
+                                    kGatherNCols);
+                storeBlock(acc, kGatherNCols, 0, m, j0, bn, n, alpha, beta,
+                           epi, local.data(), pc);
+            }
+            mergeHealth(epi, local);
+        }
+        return;
+    }
 
 #pragma omp parallel if (par)
     {
@@ -254,43 +342,47 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
                 }
             }
 
-            // alpha/beta + fused epilogue on the hot output tile; the
-            // final rounding matches gemm() exactly (double alpha*acc
-            // + beta*prev, one cast to float).
-            for (int64_t ii = 0; ii < bm; ++ii) {
-                float *rc = pc + (i0 + ii) * n;
-                for (int64_t jj = 0; jj < bn; ++jj) {
-                    const int64_t j = j0 + jj;
-                    const double av =
-                        acc[static_cast<size_t>(ii * kPackedNR + jj)];
-                    const double prev = beta == 0.0f
-                        ? 0.0
-                        : static_cast<double>(beta) * rc[j];
-                    float y = static_cast<float>(
-                        static_cast<double>(alpha) * av + prev);
-                    if (epi != nullptr)
-                        y = applyEpilogue(*epi, local.data(), y, i0 + ii,
-                                          j, n);
-                    rc[j] = y;
-                }
-            }
+            storeBlock(acc.data(), kPackedNR, i0, bm, j0, bn, n, alpha, beta,
+                       epi, local.data(), pc);
         }
 
-        if (n_stages > 0) {
-#pragma omp critical(qt8_gemm_quantized_health)
-            for (size_t s = 0; s < n_stages; ++s) {
-                if (epi->stages[s].health != nullptr)
-                    epi->stages[s].health->merge(local[s]);
-            }
-        }
+        mergeHealth(epi, local);
     }
 }
 
-void
-packedDotRows(const float *q, const uint8_t *codes, const double *table,
-              int64_t rows, int64_t cols, int64_t stride, float *out,
-              PackedKvScratch &scratch)
+/// Physical code row of logical row @p r through a page table.
+inline int64_t
+physRow(const int32_t *pages, int64_t page_size, int64_t r)
 {
+    return static_cast<int64_t>(pages[r / page_size]) * page_size +
+           r % page_size;
+}
+
+void
+dotRowsPagedImpl(bool allow_gather, const float *q, const uint8_t *codes,
+                 const double *table, const int32_t *pages,
+                 int64_t page_size, int64_t rows, int64_t cols,
+                 int64_t stride, float *out, PackedKvScratch &scratch)
+{
+    if (allow_gather && detail::packedGatherAvailable()) {
+        // Eight K rows at a time, transposed in registers: each column
+        // costs one gather for all eight rows and no panel is built. A
+        // ragged last group repeats its last row (outputs discarded).
+        for (int64_t r0 = 0; r0 < rows; r0 += kPackedNR) {
+            const int64_t bn = std::min(rows - r0, kPackedNR);
+            const uint8_t *rp[kPackedNR];
+            for (int64_t jj = 0; jj < kPackedNR; ++jj)
+                rp[jj] = codes + physRow(pages, page_size,
+                                         r0 + std::min(jj, bn - 1)) *
+                                     stride;
+            double acc[kPackedNR] = {};
+            detail::gatherDot8(q, rp, cols, table, acc);
+            for (int64_t jj = 0; jj < bn; ++jj)
+                out[r0 + jj] = static_cast<float>(acc[jj]);
+        }
+        return;
+    }
+
     static const DotFn dot = pickDotKernel();
     scratch.panel.resize(
         static_cast<size_t>(kPackedKChunk * kPackedNR));
@@ -307,7 +399,9 @@ packedDotRows(const float *q, const uint8_t *codes, const double *table,
             if (bn < kPackedNR)
                 std::fill(wdec, wdec + kc * kPackedNR, 0.0);
             for (int64_t jj = 0; jj < bn; ++jj) {
-                const uint8_t *row = codes + (r0 + jj) * stride + c0;
+                const uint8_t *row =
+                    codes + physRow(pages, page_size, r0 + jj) * stride +
+                    c0;
                 for (int64_t t = 0; t < kc; ++t)
                     wdec[t * kPackedNR + jj] = table[row[t]];
             }
@@ -319,10 +413,32 @@ packedDotRows(const float *q, const uint8_t *codes, const double *table,
 }
 
 void
-packedAccumRows(const float *w, const uint8_t *codes, const double *table,
-                int64_t rows, int64_t cols, int64_t stride, float *out,
-                PackedKvScratch &scratch)
+accumRowsPagedImpl(bool allow_gather, const float *w, const uint8_t *codes,
+                   const double *table, const int32_t *pages,
+                   int64_t page_size, int64_t rows, int64_t cols,
+                   int64_t stride, float *out, PackedKvScratch &scratch)
 {
+    if (allow_gather && detail::packedGatherAvailable()) {
+        // Each page is a contiguous run of V rows: the gather kernel
+        // walks it for every column at once (8 contiguous codes per
+        // strip per row), the double accumulators carried across page
+        // seams in ascending r.
+        scratch.panel.assign(static_cast<size_t>(cols), 0.0);
+        double *acc = scratch.panel.data();
+        for (int64_t r0 = 0; r0 < rows;) {
+            const int64_t run =
+                std::min(page_size - r0 % page_size, rows - r0);
+            detail::gatherAccum(w + r0, 0, 1, 1, run,
+                                codes + physRow(pages, page_size, r0) *
+                                            stride,
+                                stride, cols, table, acc, cols);
+            r0 += run;
+        }
+        for (int64_t c = 0; c < cols; ++c)
+            out[c] = static_cast<float>(acc[c]);
+        return;
+    }
+
     static const DotFn dot = pickDotKernel();
     scratch.panel.resize(
         static_cast<size_t>(kPackedKChunk * kPackedNR));
@@ -334,12 +450,15 @@ packedAccumRows(const float *w, const uint8_t *codes, const double *table,
         std::fill(acc, acc + kPackedNR, 0.0);
         // The k dimension is the cache length: stride-@p stride walk
         // down the rows, ascending so accumulation order matches gemm.
+        // acc persists across every r chunk and page seam.
         for (int64_t r0 = 0; r0 < rows; r0 += kPackedKChunk) {
             const int64_t kc = std::min(kPackedKChunk, rows - r0);
             if (bn < kPackedNR)
                 std::fill(wdec, wdec + kc * kPackedNR, 0.0);
             for (int64_t t = 0; t < kc; ++t) {
-                const uint8_t *row = codes + (r0 + t) * stride + c0;
+                const uint8_t *row =
+                    codes + physRow(pages, page_size, r0 + t) * stride +
+                    c0;
                 for (int64_t jj = 0; jj < bn; ++jj)
                     wdec[t * kPackedNR + jj] = table[row[jj]];
             }
@@ -348,6 +467,39 @@ packedAccumRows(const float *w, const uint8_t *codes, const double *table,
         for (int64_t jj = 0; jj < bn; ++jj)
             out[c0 + jj] = static_cast<float>(acc[jj]);
     }
+}
+
+} // namespace
+
+void
+gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
+              bool trans_w, Tensor &c, float alpha, float beta,
+              const GemmEpilogue *epi)
+{
+    gemmQuantizedImpl(true, a, trans_a, w, trans_w, c, alpha, beta, epi);
+}
+
+void
+packedDotRows(const float *q, const uint8_t *codes, const double *table,
+              int64_t rows, int64_t cols, int64_t stride, float *out,
+              PackedKvScratch &scratch)
+{
+    // One page spanning every row: physical row == logical row (the
+    // max keeps the page size nonzero when there are no rows).
+    const int32_t page0 = 0;
+    packedDotRowsPaged(q, codes, table, &page0, std::max<int64_t>(rows, 1),
+                       rows, cols, stride, out, scratch);
+}
+
+void
+packedAccumRows(const float *w, const uint8_t *codes, const double *table,
+                int64_t rows, int64_t cols, int64_t stride, float *out,
+                PackedKvScratch &scratch)
+{
+    const int32_t page0 = 0;
+    packedAccumRowsPaged(w, codes, table, &page0,
+                         std::max<int64_t>(rows, 1), rows, cols, stride,
+                         out, scratch);
 }
 
 void
@@ -356,34 +508,8 @@ packedDotRowsPaged(const float *q, const uint8_t *codes,
                    int64_t page_size, int64_t rows, int64_t cols,
                    int64_t stride, float *out, PackedKvScratch &scratch)
 {
-    static const DotFn dot = pickDotKernel();
-    scratch.panel.resize(
-        static_cast<size_t>(kPackedKChunk * kPackedNR));
-    double *wdec = scratch.panel.data();
-    double acc[kPackedNR];
-
-    for (int64_t r0 = 0; r0 < rows; r0 += kPackedNR) {
-        const int64_t bn = std::min(rows - r0, kPackedNR);
-        std::fill(acc, acc + kPackedNR, 0.0);
-        for (int64_t c0 = 0; c0 < cols; c0 += kPackedKChunk) {
-            const int64_t kc = std::min(kPackedKChunk, cols - c0);
-            if (bn < kPackedNR)
-                std::fill(wdec, wdec + kc * kPackedNR, 0.0);
-            for (int64_t jj = 0; jj < bn; ++jj) {
-                const int64_t r = r0 + jj;
-                const int64_t phys =
-                    static_cast<int64_t>(pages[r / page_size]) *
-                        page_size +
-                    r % page_size;
-                const uint8_t *row = codes + phys * stride + c0;
-                for (int64_t t = 0; t < kc; ++t)
-                    wdec[t * kPackedNR + jj] = table[row[t]];
-            }
-            dot(q + c0, wdec, kc, acc);
-        }
-        for (int64_t jj = 0; jj < bn; ++jj)
-            out[r0 + jj] = static_cast<float>(acc[jj]);
-    }
+    dotRowsPagedImpl(true, q, codes, table, pages, page_size, rows, cols,
+                     stride, out, scratch);
 }
 
 void
@@ -392,37 +518,50 @@ packedAccumRowsPaged(const float *w, const uint8_t *codes,
                      int64_t page_size, int64_t rows, int64_t cols,
                      int64_t stride, float *out, PackedKvScratch &scratch)
 {
-    static const DotFn dot = pickDotKernel();
-    scratch.panel.resize(
-        static_cast<size_t>(kPackedKChunk * kPackedNR));
-    double *wdec = scratch.panel.data();
-    double acc[kPackedNR];
-
-    for (int64_t c0 = 0; c0 < cols; c0 += kPackedNR) {
-        const int64_t bn = std::min(cols - c0, kPackedNR);
-        std::fill(acc, acc + kPackedNR, 0.0);
-        // acc persists across every r chunk (and page seam): same
-        // ascending-r double accumulation as the contiguous kernel.
-        for (int64_t r0 = 0; r0 < rows; r0 += kPackedKChunk) {
-            const int64_t kc = std::min(kPackedKChunk, rows - r0);
-            if (bn < kPackedNR)
-                std::fill(wdec, wdec + kc * kPackedNR, 0.0);
-            for (int64_t t = 0; t < kc; ++t) {
-                const int64_t r = r0 + t;
-                const int64_t phys =
-                    static_cast<int64_t>(pages[r / page_size]) *
-                        page_size +
-                    r % page_size;
-                const uint8_t *row = codes + phys * stride + c0;
-                for (int64_t jj = 0; jj < bn; ++jj)
-                    wdec[t * kPackedNR + jj] = table[row[jj]];
-            }
-            dot(w + r0, wdec, kc, acc);
-        }
-        for (int64_t jj = 0; jj < bn; ++jj)
-            out[c0 + jj] = static_cast<float>(acc[jj]);
-    }
+    accumRowsPagedImpl(true, w, codes, table, pages, page_size, rows, cols,
+                       stride, out, scratch);
 }
+
+namespace detail {
+
+bool
+gemmQuantizedUsesGather(int64_t m, bool trans_w)
+{
+    return m < kGatherMaxM && !trans_w && packedGatherAvailable();
+}
+
+void
+gemmQuantizedPanel(const Tensor &a, bool trans_a, const PackedTensor &w,
+                   bool trans_w, Tensor &c, float alpha, float beta,
+                   const GemmEpilogue *epi)
+{
+    gemmQuantizedImpl(false, a, trans_a, w, trans_w, c, alpha, beta, epi);
+}
+
+void
+packedDotRowsPagedPanel(const float *q, const uint8_t *codes,
+                        const double *table, const int32_t *pages,
+                        int64_t page_size, int64_t rows, int64_t cols,
+                        int64_t stride, float *out,
+                        PackedKvScratch &scratch)
+{
+    dotRowsPagedImpl(false, q, codes, table, pages, page_size, rows, cols,
+                     stride, out, scratch);
+}
+
+void
+packedAccumRowsPagedPanel(const float *w, const uint8_t *codes,
+                          const double *table, const int32_t *pages,
+                          int64_t page_size, int64_t rows, int64_t cols,
+                          int64_t stride, float *out,
+                          PackedKvScratch &scratch)
+{
+    accumRowsPagedImpl(false, w, codes, table, pages, page_size, rows,
+                       cols, stride, out, scratch);
+}
+
+} // namespace detail
+
 
 void
 gemmQuantizedReference(const Tensor &a, bool trans_a, const PackedTensor &w,

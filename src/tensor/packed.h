@@ -13,11 +13,13 @@
  *
  * gemmQuantized() consumes the codes directly: the tile micro-kernel
  * decodes a [kc x 8] panel through the code table right before the FMA
- * loop (AVX2 / NEON behind a portable fallback, see packed_simd.h) and
- * applies the consumer's element-wise epilogue — bias add, GeLU,
- * residual add, quantize-back — on the output tile while it is hot,
- * instead of as separate full-tensor passes. This is the paper's
- * "operation fusion" (section 4.2) turned into a speed feature.
+ * loop (AVX2 / NEON behind a portable fallback, see packed_simd.h) —
+ * or, at decode-sized m on AVX-512F hosts, gathers the table straight
+ * into the FMA with no panel at all — and applies the consumer's
+ * element-wise epilogue — bias add, GeLU, residual add, quantize-back —
+ * on the output tile while it is hot, instead of as separate
+ * full-tensor passes. This is the paper's "operation fusion" (section
+ * 4.2) turned into a speed feature.
  *
  * Numerics contract: gemmQuantized is **bit-identical** to
  * decode-to-fp32 followed by gemm()/gemmReference() plus the separate
@@ -75,6 +77,11 @@ class PackedTensor
     /// is tested against). Bit-identical to quantize-then-scale of the
     /// original tensor.
     Tensor unpack() const;
+
+    /// The codes of the transposed tensor ([cols, rows]), same table,
+    /// scale and format: pack(t).transposed() decodes exactly like
+    /// pack(t^T), without an fp32 transpose.
+    PackedTensor transposed() const;
 
     bool empty() const { return codes_.empty(); }
     const std::vector<int64_t> &shape() const { return shape_; }
@@ -167,6 +174,12 @@ struct GemmEpilogue
  * decode GEMVs still spread over cores; the micro-kernel decodes each
  * [kc x 8] code panel through the 256-entry table and runs the
  * column-vectorized FMA loop (AVX2/NEON when available).
+ *
+ * Small-m arm: for m < 8 with trans_w == false (W^T stored [k, n], the
+ * Linear layout) on AVX-512F hosts, work items are 32-column output
+ * blocks, and each k step gathers the 8 contiguous codes of a strip
+ * through the table once for all m rows (detail::gatherAccum). Same
+ * per-element ascending-k double sums, so the same bits.
  */
 void gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
                    bool trans_w, Tensor &c, float alpha = 1.0f,
@@ -184,8 +197,9 @@ void gemmQuantizedReference(const Tensor &a, bool trans_a,
 
 /**
  * Scratch for the packed KV-cache attention GEMVs below: the decoded
- * [kc x 8] double panel, reused across calls so a decode step allocates
- * it once per attention forward instead of once per (batch, head).
+ * [kc x 8] double panel (panel arm) or the per-column accumulators
+ * (gather arm), reused across calls so a decode step allocates it once
+ * per attention forward instead of once per (batch, head).
  */
 struct PackedKvScratch
 {
@@ -203,9 +217,12 @@ struct PackedKvScratch
  * panel). Accumulation is double in ascending-c order per output with
  * one final float cast, so the result is bit-identical to extracting
  * the head into fp32 and calling gemm()/gemmReference(). Eight outputs
- * advance together through the SIMD dot kernel (AVX2/NEON/portable);
- * codes >= the format's grid size decode to NaN and poison only the
- * outputs that read them.
+ * advance together: on AVX-512F hosts through an in-register 8x8 code
+ * transpose and one table gather per column (detail::gatherDot8),
+ * elsewhere through the decoded panel and the SIMD dot kernel
+ * (AVX2/NEON/portable). Codes >= the format's grid size decode to NaN
+ * and poison only the outputs that read them. A wrapper over
+ * packedDotRowsPaged with one page spanning all rows.
  */
 void packedDotRows(const float *q, const uint8_t *codes,
                    const double *table, int64_t rows, int64_t cols,
@@ -219,7 +236,10 @@ void packedDotRows(const float *q, const uint8_t *codes,
  * for c in [0, cols) — i.e. gemm(w[1 x rows], false, V[rows x cols],
  * false, out) with V stored as codes. Same ascending-r double
  * accumulation and single final float cast as gemm(); bit-identical to
- * the fp32 head-extract path.
+ * the fp32 head-extract path. On AVX-512F hosts each row's 8 contiguous
+ * codes per strip are gathered straight into the FMA
+ * (detail::gatherAccum). A wrapper over packedAccumRowsPaged with one
+ * page spanning all rows.
  */
 void packedAccumRows(const float *w, const uint8_t *codes,
                      const double *table, int64_t rows, int64_t cols,
@@ -232,7 +252,7 @@ void packedAccumRows(const float *w, const uint8_t *codes,
  *   pages[r / page_size] * page_size + r % page_size
  *
  * of the arena-wide panel @p codes. Only the address computation
- * differs from packedDotRows — the accumulation order (double,
+ * differs from a contiguous slab — the accumulation order (double,
  * ascending c, one final float cast per output) is unchanged, so the
  * result is bit-identical to gathering the pages into a contiguous
  * slab and calling packedDotRows.
@@ -255,6 +275,35 @@ void packedAccumRowsPaged(const float *w, const uint8_t *codes,
                           int64_t page_size, int64_t rows, int64_t cols,
                           int64_t stride, float *out,
                           PackedKvScratch &scratch);
+
+namespace detail {
+
+/// True when gemmQuantized takes the small-m gather arm for this shape
+/// on this host: m < 8, trans_w == false, AVX-512F available.
+bool gemmQuantizedUsesGather(int64_t m, bool trans_w);
+
+/**
+ * The panel arm alone: the kernels hosts without AVX-512F run, and
+ * gemmQuantized runs for m >= 8 or trans_w. The public entry points
+ * pick the gather arm where it applies; tests call these to compare
+ * both arms on one host.
+ */
+void gemmQuantizedPanel(const Tensor &a, bool trans_a,
+                        const PackedTensor &w, bool trans_w, Tensor &c,
+                        float alpha = 1.0f, float beta = 0.0f,
+                        const GemmEpilogue *epi = nullptr);
+void packedDotRowsPagedPanel(const float *q, const uint8_t *codes,
+                             const double *table, const int32_t *pages,
+                             int64_t page_size, int64_t rows, int64_t cols,
+                             int64_t stride, float *out,
+                             PackedKvScratch &scratch);
+void packedAccumRowsPagedPanel(const float *w, const uint8_t *codes,
+                               const double *table, const int32_t *pages,
+                               int64_t page_size, int64_t rows,
+                               int64_t cols, int64_t stride, float *out,
+                               PackedKvScratch &scratch);
+
+} // namespace detail
 
 } // namespace qt8
 

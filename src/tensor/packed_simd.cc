@@ -24,7 +24,11 @@ packedSimdAvailable()
 const char *
 packedSimdName()
 {
-    return packedSimdAvailable() ? "avx2" : "portable";
+    // Every AVX-512F core also has AVX2, so the gather arm only ever
+    // runs beside the AVX2 panel kernel.
+    if (!packedSimdAvailable())
+        return "portable";
+    return packedGatherAvailable() ? "avx2+avx512-gather" : "avx2";
 }
 
 void

@@ -13,6 +13,13 @@
  * runtime, keeping the library safe on older cores. On aarch64 the
  * NEON path compiles under the default flags; anywhere else the
  * portable fallback in packed.cc is used.
+ *
+ * The small-m gather kernels (gatherAccum / gatherDot8) live in
+ * packed_simd512.cc, the only file built with -mavx512f: they skip the
+ * decoded panel and gather the 256-entry table straight into the FMA
+ * (one _mm512_i32gather_pd per 8 codes), which pays off only when few
+ * rows share each decode. AVX2 gathers measured no faster than the
+ * panel, so they have no AVX2 twin.
  */
 #ifndef QT8_TENSOR_PACKED_SIMD_H
 #define QT8_TENSOR_PACKED_SIMD_H
@@ -24,8 +31,14 @@ namespace qt8::detail {
 /// True when the SIMD dot kernel can run on this machine (checked once).
 bool packedSimdAvailable();
 
-/// "avx2", "neon", or "portable" — surfaced by the kernel benches.
+/// The packed kernel arms this machine runs, surfaced by the kernel
+/// benches: the panel kernel ("avx2", "neon" or "portable"), plus
+/// "+avx512-gather" when packedGatherAvailable().
 const char *packedSimdName();
+
+/// True when the AVX-512F gather kernels below can run (compiled in and
+/// supported by this CPU; checked once).
+bool packedGatherAvailable();
 
 /**
  * acc[jj] += sum over t in [0, kc) of a[t] * w[t*8 + jj], jj in 0..7.
@@ -38,6 +51,33 @@ const char *packedSimdName();
  */
 void dotChunk8Simd(const float *a, const double *w, int64_t kc,
                    double *acc);
+
+/**
+ * acc[i*ldacc + j] += sum over t in [0, k) of
+ *     a[i*a_rs + t*a_cs] * table[codes[t*ldw + j]]
+ * for i in [0, m), m in 1..7, and j in [0, ncols). Each k step loads 8
+ * contiguous codes per strip, gathers their decoded values once and
+ * feeds every row's FMA; per-element ascending-t double accumulation,
+ * so bit-identical to the panel kernel. Reads exactly the codes named
+ * (ragged strips load only their own bytes).
+ *
+ * Only call when packedGatherAvailable().
+ */
+void gatherAccum(const float *a, int64_t a_rs, int64_t a_cs, int64_t m,
+                 int64_t k, const uint8_t *codes, int64_t ldw,
+                 int64_t ncols, const double *table, double *acc,
+                 int64_t ldacc);
+
+/**
+ * acc[r] += sum over c in [0, cols) of q[c] * table[rows[r][c]] for the
+ * 8 code rows @p rows (a caller short of 8 rows repeats one), ascending
+ * c in double. Transposes 8 columns of the 8 rows in registers so one
+ * gather decodes one column for all rows.
+ *
+ * Only call when packedGatherAvailable().
+ */
+void gatherDot8(const float *q, const uint8_t *const *rows, int64_t cols,
+                const double *table, double *acc);
 
 } // namespace qt8::detail
 

@@ -121,12 +121,82 @@ onGridRows(Rng &rng, const Quantizer &q, int64_t rows, int64_t d_model)
 
 // --- Kernel level ----------------------------------------------------
 
+/// Bitwise equality, except that a NaN need only meet a NaN (kernel and
+/// reference may carry different NaN payloads).
+void
+expectSameFloats(const float *got, const float *want, int64_t n,
+                 const std::string &what)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        if (std::isnan(want[i])) {
+            ASSERT_TRUE(std::isnan(got[i])) << what << " at " << i;
+            continue;
+        }
+        uint32_t g = 0, w = 0;
+        std::memcpy(&g, got + i, sizeof g);
+        std::memcpy(&w, want + i, sizeof w);
+        ASSERT_EQ(g, w) << what << " at " << i << ": " << got[i]
+                        << " != " << want[i];
+    }
+}
+
+int64_t
+countNaN(const float *p, int64_t n)
+{
+    return std::count_if(p, p + n, [](float x) { return std::isnan(x); });
+}
+
+/// Rows [0, rows) of a [*, d_model] code panel laid out in pages of
+/// @p ps rows in reverse order: logical page p lives at physical page
+/// n_pages-1-p (@p pages receives that table). The buffer is exactly
+/// n_pages*ps rows long, so logical page 0 ends at the buffer's end.
+std::vector<uint8_t>
+reversedPages(const uint8_t *codes, int64_t rows, int64_t d_model,
+              int64_t ps, std::vector<int32_t> &pages)
+{
+    const int64_t n_pages = (rows + ps - 1) / ps;
+    std::vector<uint8_t> out(static_cast<size_t>(n_pages * ps * d_model),
+                             0);
+    pages.assign(static_cast<size_t>(n_pages), 0);
+    for (int64_t p = 0; p < n_pages; ++p)
+        pages[static_cast<size_t>(p)] =
+            static_cast<int32_t>(n_pages - 1 - p);
+    for (int64_t r = 0; r < rows; ++r) {
+        const int64_t phys =
+            pages[static_cast<size_t>(r / ps)] * ps + r % ps;
+        std::memcpy(out.data() + phys * d_model, codes + r * d_model,
+                    static_cast<size_t>(d_model));
+    }
+    return out;
+}
+
+using DotRowsPagedFn = void (*)(const float *, const uint8_t *,
+                                const double *, const int32_t *, int64_t,
+                                int64_t, int64_t, int64_t, float *,
+                                PackedKvScratch &);
+
 TEST(KvPacked, GemvKernelsBitIdenticalToExtractPlusGemm)
 {
-    const int64_t d_model = 48, d_head = 12, cap = 40;
+    // d_head = 12: every head ends in a ragged 4-column strip, and the
+    // last head's strip ends at the code row's end.
+    const int64_t d_model = 48, d_head = 12, cap = 40, ps = 4;
+    // One reserved NaN code in one K row and one V row (both head 0):
+    // only the score of that K row and the context column of that V
+    // element may go NaN.
+    const int64_t nan_k_row = 5, nan_k_col = 2;
+    const int64_t nan_v_row = 3, nan_v_col = 7;
+    // The paged kernels on both arms: whichever the host picks, and the
+    // panel arm every non-AVX-512 host runs.
+    const std::vector<std::pair<const char *, DotRowsPagedFn>> dot_arms = {
+        {"paged", packedDotRowsPaged},
+        {"paged panel", detail::packedDotRowsPagedPanel}};
+    const std::vector<std::pair<const char *, DotRowsPagedFn>> acc_arms = {
+        {"paged", packedAccumRowsPaged},
+        {"paged panel", detail::packedAccumRowsPagedPanel}};
     Rng rng(11);
     std::vector<QuantConfig> cfgs = packableConfigs();
-    for (QuantConfig &qc : cfgs) {
+    for (const QuantConfig &base : cfgs) {
+        QuantConfig qc = base;
         qc.kv_packed = true;
         const Quantizer *fmt = qc.kvPackedFormat();
         ASSERT_NE(nullptr, fmt) << qc.name;
@@ -142,20 +212,37 @@ TEST(KvPacked, GemvKernelsBitIdenticalToExtractPlusGemm)
         for (int64_t len : {1, 7, 8, 9, 31}) {
             packed.len = 0;
             plain.len = 0;
+            const bool poisoned = len > nan_k_row && len > nan_v_row;
             for (int64_t t = 0; t < len; ++t) {
-                const Tensor kr = onGridRows(rng, qc.fwd, 1, d_model);
-                const Tensor vr = onGridRows(rng, qc.fwd, 1, d_model);
+                Tensor kr = onGridRows(rng, qc.fwd, 1, d_model);
+                Tensor vr = onGridRows(rng, qc.fwd, 1, d_model);
+                if (poisoned && t == nan_k_row)
+                    kr.data()[nan_k_col] =
+                        std::numeric_limits<float>::quiet_NaN();
+                if (poisoned && t == nan_v_row)
+                    vr.data()[nan_v_col] =
+                        std::numeric_limits<float>::quiet_NaN();
                 ASSERT_TRUE(packed.append(kr, vr));
                 ASSERT_TRUE(plain.append(kr, vr));
             }
+            std::vector<int32_t> pages;
+            const std::vector<uint8_t> k_paged = reversedPages(
+                packed.k_codes.data(), len, d_model, ps, pages);
+            const std::vector<uint8_t> v_paged = reversedPages(
+                packed.v_codes.data(), len, d_model, ps, pages);
 
-            Tensor q({1, d_head});
+            Tensor q({1, d_head}), wts({1, len});
             for (int64_t j = 0; j < d_head; ++j)
                 q.data()[j] =
                     static_cast<float>(rng.uniform() * 2.0 - 1.0);
+            for (int64_t r = 0; r < len; ++r)
+                wts.data()[r] = static_cast<float>(rng.uniform());
 
             PackedKvScratch scratch;
             for (int h = 0; h < d_model / d_head; ++h) {
+                const std::string what = qc.name + " len=" +
+                                         std::to_string(len) + " head=" +
+                                         std::to_string(h);
                 // Reference: extract the head slice to fp32, gemm.
                 Tensor kh({len, d_head}), vh({len, d_head});
                 for (int64_t r = 0; r < len; ++r) {
@@ -176,22 +263,45 @@ TEST(KvPacked, GemvKernelsBitIdenticalToExtractPlusGemm)
                               packed.k_codes.data() + h * d_head,
                               packed.table.data(), len, d_head,
                               d_model, got_s.data(), scratch);
-                ASSERT_EQ(0, std::memcmp(want_s.data(), got_s.data(),
-                                         sizeof(float) *
-                                             static_cast<size_t>(len)))
-                    << qc.name << " len=" << len << " head=" << h;
+                expectSameFloats(got_s.data(), want_s.data(), len,
+                                 what + " dot");
+                const bool k_nan = poisoned && h == 0;
+                EXPECT_EQ(k_nan ? 1 : 0, countNaN(got_s.data(), len))
+                    << what;
+                if (k_nan) {
+                    EXPECT_TRUE(std::isnan(got_s.data()[nan_k_row])) << what;
+                }
 
                 Tensor want_c({1, d_head}), got_c({1, d_head});
-                gemm(want_s, false, vh, false, want_c);
-                packedAccumRows(want_s.data(),
+                gemm(wts, false, vh, false, want_c);
+                packedAccumRows(wts.data(),
                                 packed.v_codes.data() + h * d_head,
                                 packed.table.data(), len, d_head,
                                 d_model, got_c.data(), scratch);
-                ASSERT_EQ(0,
-                          std::memcmp(want_c.data(), got_c.data(),
-                                      sizeof(float) *
-                                          static_cast<size_t>(d_head)))
-                    << qc.name << " len=" << len << " head=" << h;
+                expectSameFloats(got_c.data(), want_c.data(), d_head,
+                                 what + " accum");
+                const bool v_nan = poisoned && h == 0;
+                EXPECT_EQ(v_nan ? 1 : 0, countNaN(got_c.data(), d_head))
+                    << what;
+                if (v_nan) {
+                    EXPECT_TRUE(std::isnan(got_c.data()[nan_v_col])) << what;
+                }
+
+                // The same rows through a reversed page table.
+                for (const auto &[arm, fn] : dot_arms) {
+                    fn(q.data(), k_paged.data() + h * d_head,
+                       packed.table.data(), pages.data(), ps, len, d_head,
+                       d_model, got_s.data(), scratch);
+                    expectSameFloats(got_s.data(), want_s.data(), len,
+                                     what + " dot " + arm);
+                }
+                for (const auto &[arm, fn] : acc_arms) {
+                    fn(wts.data(), v_paged.data() + h * d_head,
+                       packed.table.data(), pages.data(), ps, len, d_head,
+                       d_model, got_c.data(), scratch);
+                    expectSameFloats(got_c.data(), want_c.data(), d_head,
+                                     what + " accum " + arm);
+                }
             }
         }
     }

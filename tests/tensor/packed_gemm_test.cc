@@ -11,7 +11,8 @@
  *     both transposes, and alpha/beta variants.
  *  3. Fused epilogue (bias, quant, GeLU, residual) vs the same stages
  *     run as separate full-tensor passes — values bit-identical, health
- *     counters exact (sums to tolerance: tile order differs).
+ *     counters exact (sums to tolerance: tile order differs). The
+ *     small-m gather arm and the panel arm agree bit for bit.
  *  4. Model-level identity: CausalLM forward / incremental decode /
  *     the continuous-batching serve engine with weights_packed on emit
  *     bit-identical logits and tokens to the fake-quantized path.
@@ -88,6 +89,17 @@ TEST(PackedTensor, ExhaustiveRoundTripPerFormat)
         q.quantizeInPlace(want.data(), static_cast<size_t>(want.numel()));
         expectBitIdentical(PackedTensor::pack(t, q).unpack(), want,
                            name + " random");
+
+        // transposed() holds the codes of the transpose (37 rows span a
+        // ragged second 32-row block).
+        const PackedTensor pt = PackedTensor::pack(t, q).transposed();
+        ASSERT_EQ(pt.dim(0), t.dim(1)) << name;
+        ASSERT_EQ(pt.dim(1), t.dim(0)) << name;
+        Tensor want_t({t.dim(1), t.dim(0)});
+        for (int64_t r = 0; r < t.dim(0); ++r)
+            for (int64_t c = 0; c < t.dim(1); ++c)
+                want_t.at(c, r) = want.at(r, c);
+        expectBitIdentical(pt.unpack(), want_t, name + " transposed");
     }
 }
 
@@ -108,9 +120,23 @@ struct Shape {
     int64_t m, n, k;
 };
 
+/// Small-m shapes on both sides of the gather arm's m < 8 crossover:
+/// n covers one strip, an odd strip count and a ragged tail (300 =
+/// 9 groups of 32 + 12); k covers 1, odd, and beyond one panel chunk.
+std::vector<Shape>
+smallMShapes()
+{
+    std::vector<Shape> out;
+    for (const int64_t m : {1, 2, 5, 7, 8})
+        for (const int64_t n : {8, 24, 300})
+            for (const int64_t k : {1, 77, 513})
+                out.push_back({m, n, k});
+    return out;
+}
+
 TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
 {
-    const std::vector<Shape> shapes = {
+    std::vector<Shape> shapes = {
         {1, 64, 64},   // decode GEMV, exact tile
         {1, 300, 513}, // decode GEMV, ragged n, k split across chunks
         {7, 5, 3},     // smaller than one tile
@@ -118,6 +144,8 @@ TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
         {65, 129, 66}, // every dimension ragged
         {3, 200, 1},   // k = 1
     };
+    for (const Shape &s : smallMShapes())
+        shapes.push_back(s);
     const std::vector<std::pair<float, float>> scales = {
         {1.0f, 0.0f}, {0.5f, 1.0f}, {2.0f, -0.5f}};
     const Quantizer q = Quantizer::byName("posit8");
@@ -159,53 +187,116 @@ TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
     }
 }
 
+/// The FFN fc1 tail (bias, carrier, activation-point quant, GeLU,
+/// carrier) or fc2 tail (bias, carrier, residual-point quant, residual
+/// add, carrier), each quant stage accumulating into @p h[0..2].
+GemmEpilogue
+ffnTail(bool residual_tail, const Tensor &bias, const Tensor &skip,
+        const Quantizer &fwd, const Quantizer &carrier, QuantHealth *h)
+{
+    GemmEpilogue e;
+    e.bias(bias.data());
+    e.quant(&carrier, &h[0]);
+    e.quant(&fwd, &h[1]);
+    if (residual_tail)
+        e.residual(skip.data());
+    else
+        e.gelu();
+    e.quant(&carrier, &h[2]);
+    return e;
+}
+
+void
+expectSameHealth(const QuantHealth *hf, const QuantHealth *hu,
+                 const std::string &what)
+{
+    for (int s = 0; s < 3; ++s) {
+        EXPECT_EQ(hf[s].count, hu[s].count) << what << " stage " << s;
+        EXPECT_EQ(hf[s].saturated, hu[s].saturated) << what << " " << s;
+        EXPECT_EQ(hf[s].underflow, hu[s].underflow) << what << " " << s;
+        EXPECT_EQ(hf[s].nonfinite, hu[s].nonfinite) << what << " " << s;
+        EXPECT_DOUBLE_EQ(hf[s].amax, hu[s].amax) << what << " " << s;
+        // Tile-order double accumulation: equal to tolerance only.
+        EXPECT_NEAR(hf[s].abs_err_sum, hu[s].abs_err_sum,
+                    1e-9 * (1.0 + hu[s].abs_err_sum))
+            << what << " " << s;
+    }
+}
+
 TEST(GemmQuantized, FusedEpilogueBitIdenticalToSeparatePasses)
 {
     const Quantizer fwd = Quantizer::byName("e4m3");
     const Quantizer carrier = Quantizer::bf16();
-    const int64_t m = 33, n = 70, k = 129;
+    std::vector<Shape> shapes = {{33, 70, 129}};
+    for (const Shape &s : smallMShapes())
+        shapes.push_back(s);
 
     Rng rng(23);
-    Tensor a({m, k}), w({n, k}), bias({n}), skip({m, n});
-    rng.fillNormal(a);
-    rng.fillNormal(w);
-    rng.fillNormal(bias, 0.5);
-    rng.fillNormal(skip);
-    const PackedTensor pw = PackedTensor::pack(w, fwd);
-
-    // The FFN fc1 tail: bias, carrier, activation-point quant, GeLU,
-    // carrier — and the fc2 tail: bias, carrier, residual-point quant,
-    // residual add, carrier.
-    for (const bool residual_tail : {false, true}) {
-        GemmEpilogue fused, unfused;
-        QuantHealth hf[3], hu[3];
-        for (GemmEpilogue *e : {&fused, &unfused}) {
-            QuantHealth *h = (e == &fused) ? hf : hu;
-            e->bias(bias.data());
-            e->quant(&carrier, &h[0]);
-            e->quant(&fwd, &h[1]);
-            if (residual_tail)
-                e->residual(skip.data());
-            else
-                e->gelu();
-            e->quant(&carrier, &h[2]);
+    for (const Shape &s : shapes) {
+        for (const bool tw : {true, false}) {
+            Tensor a({s.m, s.k}), bias({s.n}), skip({s.m, s.n});
+            Tensor w(tw ? std::vector<int64_t>{s.n, s.k}
+                        : std::vector<int64_t>{s.k, s.n});
+            rng.fillNormal(a);
+            rng.fillNormal(w);
+            rng.fillNormal(bias, 0.5);
+            rng.fillNormal(skip);
+            const PackedTensor pw = PackedTensor::pack(w, fwd);
+            for (const bool residual_tail : {false, true}) {
+                const std::string what =
+                    "m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
+                    " k=" + std::to_string(s.k) + " tw=" +
+                    std::to_string(tw) +
+                    (residual_tail ? " residual tail" : " gelu tail");
+                QuantHealth hf[3], hu[3];
+                const GemmEpilogue fused =
+                    ffnTail(residual_tail, bias, skip, fwd, carrier, hf);
+                const GemmEpilogue unfused =
+                    ffnTail(residual_tail, bias, skip, fwd, carrier, hu);
+                Tensor c0({s.m, s.n}), c1({s.m, s.n});
+                gemmQuantized(a, false, pw, tw, c0, 1.0f, 0.0f, &fused);
+                gemmQuantizedReference(a, false, pw, tw, c1, 1.0f, 0.0f,
+                                       &unfused);
+                expectBitIdentical(c0, c1, what);
+                expectSameHealth(hf, hu, what);
+            }
         }
-        Tensor c0({m, n}), c1({m, n});
-        gemmQuantized(a, false, pw, true, c0, 1.0f, 0.0f, &fused);
-        gemmQuantizedReference(a, false, pw, true, c1, 1.0f, 0.0f,
-                               &unfused);
-        expectBitIdentical(c0, c1,
-                           residual_tail ? "residual tail" : "gelu tail");
-        for (int s = 0; s < 3; ++s) {
-            EXPECT_EQ(hf[s].count, hu[s].count) << s;
-            EXPECT_EQ(hf[s].saturated, hu[s].saturated) << s;
-            EXPECT_EQ(hf[s].underflow, hu[s].underflow) << s;
-            EXPECT_EQ(hf[s].nonfinite, hu[s].nonfinite) << s;
-            EXPECT_DOUBLE_EQ(hf[s].amax, hu[s].amax) << s;
-            // Tile-order double accumulation: equal to tolerance only.
-            EXPECT_NEAR(hf[s].abs_err_sum, hu[s].abs_err_sum,
-                        1e-9 * (1.0 + hu[s].abs_err_sum))
-                << s;
+    }
+}
+
+TEST(GemmQuantized, PanelArmBitIdenticalToGatherArm)
+{
+    // The public entry point takes the gather arm for m < 8 with
+    // trans_w == false on AVX-512F hosts; the panel arm is what every
+    // other host runs. Both must agree bit for bit, epilogue health
+    // included, so the fallback stays tested here too.
+    const Quantizer fwd = Quantizer::byName("posit8");
+    const Quantizer carrier = Quantizer::bf16();
+    Rng rng(29);
+    for (const Shape &s : smallMShapes()) {
+        for (const bool ta : {false, true}) {
+            Tensor a(ta ? std::vector<int64_t>{s.k, s.m}
+                        : std::vector<int64_t>{s.m, s.k});
+            Tensor w({s.k, s.n}), bias({s.n}), skip({s.m, s.n});
+            rng.fillNormal(a);
+            rng.fillNormal(w);
+            rng.fillNormal(bias, 0.5);
+            rng.fillNormal(skip);
+            const PackedTensor pw = PackedTensor::pack(w, fwd);
+            const std::string what =
+                "m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
+                " k=" + std::to_string(s.k) + " ta=" + std::to_string(ta);
+            QuantHealth hg[3], hp[3];
+            const GemmEpilogue eg =
+                ffnTail(true, bias, skip, fwd, carrier, hg);
+            const GemmEpilogue ep =
+                ffnTail(true, bias, skip, fwd, carrier, hp);
+            Tensor cg({s.m, s.n}), cp({s.m, s.n});
+            gemmQuantized(a, ta, pw, false, cg, 1.0f, 0.0f, &eg);
+            detail::gemmQuantizedPanel(a, ta, pw, false, cp, 1.0f, 0.0f,
+                                       &ep);
+            expectBitIdentical(cg, cp, what);
+            expectSameHealth(hg, hp, what);
         }
     }
 }
