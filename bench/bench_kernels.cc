@@ -404,26 +404,31 @@ timeGemm(double flops, Fn &&fn)
 }
 
 /// --gemm-json[=path]: packed-vs-fp32 sweep over decode-shaped GEMV and
-/// prefill GEMM sizes, written as JSON (GFLOP/s with IQR, operand bytes
-/// moved, resident weight bytes, speedup). Every shape runs both packed
-/// orientations — trans_w=true (W stored [n, k]) and trans_w=false (W^T
-/// stored [k, n], the Linear layout) — against the fp32 Linear forward
-/// (gemm with trans_w=true), plus the panel arm alone, so each row
-/// shows which arm ran and what the other would have done.
+/// batched / prefill GEMM sizes, written as JSON (GFLOP/s with IQR,
+/// operand bytes moved, resident weight bytes, speedup). Every shape
+/// runs both packed orientations — trans_w=true (W stored [n, k]) and
+/// trans_w=false (W^T stored [k, n], the Linear layout) — against the
+/// fp32 Linear forward (gemm with trans_w=true), plus the one-row panel
+/// arm alone (the kernel the gather and blocked arms replace), so each
+/// row shows which arm ran and what the old one would have done. A
+/// second table times the FFN fc1 shape with and without its fused
+/// GeLU tail.
 int
 gemmJsonMain(const std::string &path)
 {
     const Quantizer q = Quantizer::byName("posit8");
     struct Case {
-        int64_t m, d;
+        int64_t m, n, k;
     };
     // m = 1 / 2 / 4: single-stream and few-stream decode GEMVs (the
-    // gather arm's side of the m < 8 crossover); m = 8: the panel's
-    // side; m = 64: prefill-shaped. d covers the model ladder's hidden
-    // sizes.
-    const std::vector<Case> cases = {{1, 256}, {1, 512}, {1, 1024},
-                                     {2, 512}, {4, 512}, {8, 512},
-                                     {64, 512}};
+    // gather arm); m = 8 .. 64: batched decode (the blocked panel arm);
+    // m = 512: prefill-shaped. Square d covers the model ladder's
+    // hidden sizes; 1024x256 / 256x1024 are the d_model 256 FFN's fc1
+    // and fc2 at batched-decode m.
+    const std::vector<Case> cases = {
+        {1, 256, 256},  {1, 512, 512},   {1, 1024, 1024}, {2, 512, 512},
+        {4, 512, 512},  {8, 512, 512},   {16, 512, 512},  {32, 512, 512},
+        {64, 512, 512}, {512, 512, 512}, {32, 1024, 256}, {32, 256, 1024}};
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -438,7 +443,7 @@ gemmJsonMain(const std::string &path)
                 detail::packedSimdName(), kernelThreads());
 
     for (size_t ci = 0; ci < cases.size(); ++ci) {
-        const int64_t m = cases[ci].m, n = cases[ci].d, k = cases[ci].d;
+        const int64_t m = cases[ci].m, n = cases[ci].n, k = cases[ci].k;
         Rng rng(21);
         Tensor a({m, k}), w({n, k}), c({m, n});
         rng.fillNormal(a);
@@ -465,7 +470,8 @@ gemmJsonMain(const std::string &path)
             const GemmRate panel = timeGemm(flops, [&] {
                 detail::gemmQuantizedPanel(a, false, p, tw, c);
             });
-            const bool gather = detail::gemmQuantizedUsesGather(m, tw);
+            const char *arm =
+                detail::gemmArmName(detail::gemmQuantizedArm(m, tw));
             const bool last = ci + 1 == cases.size() && !tw;
             std::fprintf(
                 f,
@@ -478,20 +484,63 @@ gemmJsonMain(const std::string &path)
                 "\"packed_weight_bytes\": %zu, \"fp32_bytes_moved\": "
                 "%.0f, \"packed_bytes_moved\": %.0f}%s\n",
                 static_cast<long long>(m), static_cast<long long>(n),
-                static_cast<long long>(k), tw ? "true" : "false",
-                gather ? "gather" : "panel", fp32.gflops, fp32.iqr,
-                packed.gflops, packed.iqr, panel.gflops, panel.iqr,
-                packed.gflops / fp32.gflops, p.fp32Bytes(),
-                p.packedBytes(), mb_fp32, mb_packed, last ? "" : ",");
-            std::printf("  m=%-3lld d=%-5lld trans_w=%d  fp32 %7.3f "
-                        "(%.3f)  packed[%s] %7.3f (%.3f)  panel %7.3f "
-                        "(%.3f)  speedup %.2fx\n",
+                static_cast<long long>(k), tw ? "true" : "false", arm,
+                fp32.gflops, fp32.iqr, packed.gflops, packed.iqr,
+                panel.gflops, panel.iqr, packed.gflops / fp32.gflops,
+                p.fp32Bytes(), p.packedBytes(), mb_fp32, mb_packed,
+                last ? "" : ",");
+            std::printf("  m=%-3lld n=%-4lld k=%-4lld trans_w=%d  fp32 "
+                        "%7.3f (%.3f)  packed[%s] %7.3f (%.3f)  panel "
+                        "%7.3f (%.3f)  speedup %.2fx\n",
                         static_cast<long long>(m),
-                        static_cast<long long>(n), tw ? 1 : 0,
-                        fp32.gflops, fp32.iqr, gather ? "gather" : "panel",
-                        packed.gflops, packed.iqr, panel.gflops, panel.iqr,
+                        static_cast<long long>(n),
+                        static_cast<long long>(k), tw ? 1 : 0, fp32.gflops,
+                        fp32.iqr, arm, packed.gflops, packed.iqr,
+                        panel.gflops, panel.iqr,
                         packed.gflops / fp32.gflops);
         }
+    }
+    std::fprintf(f, "  ],\n  \"gelu_tail\": [\n");
+
+    // FFN fc1 in the Linear layout (W^T codes, trans_w = false) with and
+    // without the fc1 tail bias -> carrier -> activation point -> GeLU
+    // -> carrier, which gemmQuantized runs through its GeLU table
+    // (posit8 activation point, bf16 carrier: QuantConfig::posit8()).
+    const Quantizer carrier = Quantizer::bf16();
+    const std::vector<int64_t> tail_ms = {1, 32};
+    for (size_t ti = 0; ti < tail_ms.size(); ++ti) {
+        const int64_t m = tail_ms[ti], n = 1024, k = 256;
+        Rng rng(22);
+        Tensor a({m, k}), w({k, n}), bias({n}), c({m, n});
+        rng.fillNormal(a);
+        rng.fillNormal(w, 0.1);
+        rng.fillNormal(bias, 0.1);
+        const PackedTensor p = PackedTensor::pack(w, q);
+        GemmEpilogue tail;
+        tail.bias(bias.data()).quant(&carrier).quant(&q).gelu().quant(
+            &carrier);
+        const double flops = 2.0 * static_cast<double>(m * n * k);
+        const GemmRate bare =
+            timeGemm(flops, [&] { gemmQuantized(a, false, p, false, c); });
+        const GemmRate fused = timeGemm(flops, [&] {
+            gemmQuantized(a, false, p, false, c, 1.0f, 0.0f, &tail);
+        });
+        const auto ms = [&](const GemmRate &r) {
+            return flops / (r.gflops * 1e9) * 1e3;
+        };
+        std::fprintf(f,
+                     "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
+                     "\"bare_ms\": %.4f, \"gelu_tail_ms\": %.4f, "
+                     "\"tail_ns_per_element\": %.2f}%s\n",
+                     static_cast<long long>(m), static_cast<long long>(n),
+                     static_cast<long long>(k), ms(bare), ms(fused),
+                     (ms(fused) - ms(bare)) * 1e6 /
+                         static_cast<double>(m * n),
+                     ti + 1 == tail_ms.size() ? "" : ",");
+        std::printf("  fc1 m=%-3lld %lldx%lld  bare %.4f ms  with GeLU tail "
+                    "%.4f ms\n",
+                    static_cast<long long>(m), static_cast<long long>(k),
+                    static_cast<long long>(n), ms(bare), ms(fused));
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -208,8 +208,41 @@ ServeEngine::kvBytesPerSlot() const
 ServeMetrics
 ServeEngine::metricsSnapshot() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return metrics_;
+    ServeMetrics m;
+    {
+        std::lock_guard<std::mutex> lock(publish_mu_);
+        m = published_;
+    }
+    foldSubmitCounts(m);
+    return m;
+}
+
+ServeMetrics
+ServeEngine::metrics() const
+{
+    ServeMetrics m = metrics_;
+    foldSubmitCounts(m);
+    return m;
+}
+
+void
+ServeEngine::publishMetricsLocked()
+{
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    published_ = metrics_;
+}
+
+void
+ServeEngine::foldSubmitCounts(ServeMetrics &m) const
+{
+    for (size_t c = 0; c < kNumClasses; ++c) {
+        const int64_t full = rejected_full_[c].load();
+        m.per_class[c].submitted += submitted_[c].load();
+        m.per_class[c].rejected += full;
+        m.rejected += full;
+    }
+    m.rejected_invalid += rejected_invalid_.load();
+    m.stopped += stopped_at_submit_.load();
 }
 
 RequestStatus
@@ -295,10 +328,7 @@ ServeEngine::submit(Request req, uint64_t *id_out)
         r.id = p.id;
         r.status = v;
         r.prompt_tokens = static_cast<int64_t>(p.request.prompt.size());
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++metrics_.rejected_invalid;
-        }
+        ++rejected_invalid_;
         p.promise.set_value(r);
         if (p.request.on_complete)
             p.request.on_complete(r);
@@ -309,25 +339,22 @@ ServeEngine::submit(Request req, uint64_t *id_out)
     // so the original promise can carry the typed rejection: the
     // future resolves immediately, nothing is admitted, and the caller
     // can retry or back off.
+    // Counted before the push, so no snapshot can show a request
+    // retired before it was submitted; a refused push takes it back.
     const size_t cls = static_cast<size_t>(p.request.priority_class);
-    switch (queue_.tryPush(std::move(p))) {
-    case RequestQueue::PushResult::kOk: {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++metrics_.per_class[cls].submitted;
-        }
+    ++submitted_[cls];
+    const RequestQueue::PushResult pushed = queue_.tryPush(std::move(p));
+    if (pushed != RequestQueue::PushResult::kOk)
+        --submitted_[cls];
+    switch (pushed) {
+    case RequestQueue::PushResult::kOk:
         wake();
         return fut;
-    }
     case RequestQueue::PushResult::kFull: {
         RequestResult r;
         r.id = p.id;
         r.status = RequestStatus::kRejectedQueueFull;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++metrics_.rejected;
-            ++metrics_.per_class[cls].rejected;
-        }
+        ++rejected_full_[cls];
         p.promise.set_value(r);
         if (p.request.on_complete)
             p.request.on_complete(r);
@@ -340,10 +367,7 @@ ServeEngine::submit(Request req, uint64_t *id_out)
         RequestResult r;
         r.id = p.id;
         r.status = RequestStatus::kEngineStopped;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++metrics_.stopped;
-        }
+        ++stopped_at_submit_;
         p.promise.set_value(r);
         if (p.request.on_complete)
             p.request.on_complete(r);
@@ -673,6 +697,7 @@ ServeEngine::step()
     {
         std::lock_guard<std::mutex> lock(mu_);
         ran = stepLocked(done);
+        publishMetricsLocked();
     }
     // Promises/callbacks fire with no engine lock held, so a callback
     // may submit(), cancel(), or read a metrics snapshot.
@@ -1775,6 +1800,7 @@ ServeEngine::abortAll()
         syncParkedCountLocked();
         for (size_t i = active_.size(); i-- > 0;)
             retireLocked(i, RequestStatus::kEngineStopped, now, done);
+        publishMetricsLocked();
     }
     {
         std::lock_guard<std::mutex> lock(cancel_mu_);

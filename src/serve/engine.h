@@ -44,6 +44,7 @@
 #ifndef QT8_SERVE_ENGINE_H
 #define QT8_SERVE_ENGINE_H
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -235,14 +236,21 @@ class ServeEngine
     /// (free + evictable prefix-cache pages).
     int64_t freeSlots() const;
 
-    /// Consistent copy of the metrics, safe to call from any thread
-    /// while the scheduler runs.
+    /**
+     * Consistent copy of the metrics as of the last completed step (or
+     * abort), safe to call from any thread while the scheduler runs.
+     * Never waits on a forward pass: each step publishes its metrics
+     * under a mutex held only for that copy, and the counters submit()
+     * bumps (per-class submitted / rejected, rejected_invalid, the
+     * submit-side stopped) are atomics folded in at read time.
+     */
     ServeMetrics metricsSnapshot() const;
 
-    /// Borrowed reference for single-threaded (externally-stepped)
-    /// use; racy while the scheduler thread runs — prefer
-    /// metricsSnapshot() there.
-    const ServeMetrics &metrics() const { return metrics_; }
+    /// Live copy for single-threaded (externally-stepped) use: the
+    /// scheduler's counters as they stand plus the submit-side ones.
+    /// Racy while the scheduler thread runs — prefer metricsSnapshot()
+    /// there.
+    ServeMetrics metrics() const;
     const EngineConfig &config() const { return cfg_; }
 
     /// KV pool footprint. Geometry (and hence these values) is fixed at
@@ -338,6 +346,10 @@ class ServeEngine
     void threadMain();
     bool hasWork();
     void abortAll();
+    /// Copy metrics_ into published_ (caller holds mu_).
+    void publishMetricsLocked();
+    /// Add the submit-side atomic counters into @p m.
+    void foldSubmitCounts(ServeMetrics &m) const;
 
     CausalLM *clm_ = nullptr;
     Seq2Seq *s2s_ = nullptr;
@@ -346,7 +358,9 @@ class ServeEngine
     RequestQueue queue_;
 
     mutable std::mutex mu_; ///< Guards the pools, active_, metrics_
-                            ///< and serializes scheduler steps.
+                            ///< and serializes scheduler steps;
+                            ///< submit() and metricsSnapshot() never
+                            ///< take it.
     std::unique_ptr<KVCachePool> pool_;  ///< Slab mode (else null).
     std::unique_ptr<PagedKVPool> ppool_; ///< Paged mode (else null).
     /// Paged CausalLM: tiered KV sessions (declared after ppool_ so it
@@ -366,6 +380,17 @@ class ServeEngine
     std::vector<std::unique_ptr<Active>> active_;
     ServeMetrics metrics_;
     std::atomic<size_t> active_n_{0}; ///< Lock-free activeCount mirror.
+
+    /// The counters submit() bumps, kept off mu_ so an API call never
+    /// waits on a forward pass (metrics_ leaves them at zero, except
+    /// `stopped`, which abort also counts there).
+    std::array<std::atomic<int64_t>, kNumClasses> submitted_{};
+    std::array<std::atomic<int64_t>, kNumClasses> rejected_full_{};
+    std::atomic<int64_t> rejected_invalid_{0};
+    std::atomic<int64_t> stopped_at_submit_{0};
+
+    mutable std::mutex publish_mu_; ///< Guards published_ only.
+    ServeMetrics published_;        ///< metrics_ as of the last step.
 
     std::atomic<uint64_t> next_id_{1};
     std::mutex cancel_mu_;

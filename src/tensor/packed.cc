@@ -1,8 +1,12 @@
 #include "tensor/packed.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 #include "tensor/packed_simd.h"
@@ -80,17 +84,24 @@ PackedTensor::transposed() const
 
 namespace {
 
-/// Output tile: 64 rows x 8 columns (8 = the SIMD accumulator width).
+using detail::GemmArm;
+
+/// Output tiles are 64 rows by one panel width: 8 columns (the AVX2 /
+/// NEON accumulator width) or 32 for the AVX-512 blocked arm.
 constexpr int64_t kPackedMBlock = 64;
 constexpr int64_t kPackedNR = 8;
-/// k-chunk of the decoded panel: 256 x 8 doubles = 16 KB, L1-resident,
+constexpr int64_t kWideNR = 32;
+/// k-chunk of the decoded panel: 256 x 8 doubles = 16 KB for the
+/// one-row arm, 128 x 32 = 32 KB for the wide panel, L1-resident and
 /// shared by every row of the tile before the next chunk is decoded.
 constexpr int64_t kPackedKChunk = 256;
+constexpr int64_t kWideKChunk = 128;
 /// Same parallelism work threshold as the fp32 blocked GEMM.
 constexpr int64_t kPackedParallelFlops = 16384;
 /// The gather arm runs gemmQuantized for m < kGatherMaxM (its
 /// register-resident accumulators fit at most 7 rows), kGatherNCols
-/// output columns (4 strips) per work item.
+/// output columns (4 strips) per work item. From the same m on, the
+/// register-blocked panel arms take over.
 constexpr int64_t kGatherMaxM = 8;
 constexpr int64_t kGatherNCols = 32;
 
@@ -115,54 +126,136 @@ pickDotKernel()
                                          : dotChunk8Portable;
 }
 
-/**
- * Apply the epilogue stages to one output element. @p local holds one
- * QuantHealth per stage (per-thread; merged by the caller) so the
- * health counters match the health-aware quantizeInPlace overload
- * element for element.
- */
-inline float
-applyEpilogue(const GemmEpilogue &epi, QuantHealth *local, float y,
-              int64_t i, int64_t j, int64_t n)
+using PanelRowsFn = void (*)(const double *, int64_t, int64_t,
+                             const double *, int64_t, double *);
+
+/// Record one quantize point's health for input @p y rounded to @p q,
+/// matching the health-aware Quantizer::quantizeInPlace overload.
+void
+noteQuant(QuantHealth &h, const Quantizer &quant, float y, float q)
 {
-    for (size_t s = 0; s < epi.stages.size(); ++s) {
-        const GemmEpilogue::Stage &st = epi.stages[s];
-        switch (st.kind) {
-          case GemmEpilogue::Stage::Kind::kBias:
-            y += st.data[j];
-            break;
-          case GemmEpilogue::Stage::Kind::kGelu:
-            y = geluScalar(y);
-            break;
-          case GemmEpilogue::Stage::Kind::kResidual:
-            y += st.data[i * n + j];
-            break;
-          case GemmEpilogue::Stage::Kind::kQuant: {
-            const float q = st.quant->quantize(y);
-            if (st.health != nullptr) {
-                QuantHealth &h = local[s];
-                ++h.count;
-                if (std::isfinite(y)) {
-                    const double a = std::fabs(static_cast<double>(y));
-                    if (a > h.amax)
-                        h.amax = a;
-                    if (a > st.quant->maxRepresentable())
-                        ++h.saturated;
-                    if (y != 0.0f && q == 0.0f)
-                        ++h.underflow;
-                    h.abs_err_sum += std::fabs(
-                        static_cast<double>(y) - static_cast<double>(q));
-                } else {
-                    ++h.nonfinite;
-                }
+    ++h.count;
+    if (std::isfinite(y)) {
+        const double a = std::fabs(static_cast<double>(y));
+        if (a > h.amax)
+            h.amax = a;
+        if (a > quant.maxRepresentable())
+            ++h.saturated;
+        if (y != 0.0f && q == 0.0f)
+            ++h.underflow;
+        h.abs_err_sum +=
+            std::fabs(static_cast<double>(y) - static_cast<double>(q));
+    } else {
+        ++h.nonfinite;
+    }
+}
+
+/**
+ * A GemmEpilogue prepared for one call. When the stages hold
+ * quant(q) -> gelu -> quant(c) with q a grid format (the FFN fc1 tail),
+ * every non-NaN input reaches the GeLU as one of q's <=256
+ * grid values, so the run collapses to lookups on q's code:
+ * gelu[i] = geluScalar(q.gridValues()[i]) and out[i] = c.quantize(gelu[i]).
+ * Both tables are computed by the very calls the staged path makes,
+ * so the result and each stage's health are bit-identical; a NaN has
+ * no code and takes the staged path.
+ */
+struct PreparedEpilogue
+{
+    const GemmEpilogue *epi = nullptr;
+    size_t gelu_at = SIZE_MAX; ///< Stage index of the tabled quant(q).
+    std::array<float, 256> gelu{};
+    std::array<float, 256> out{};
+
+    explicit PreparedEpilogue(const GemmEpilogue *e) : epi(e)
+    {
+        using Kind = GemmEpilogue::Stage::Kind;
+        const std::vector<GemmEpilogue::Stage> &st = e->stages;
+        for (size_t s = 0; s + 2 < st.size(); ++s) {
+            if (st[s].kind != Kind::kQuant ||
+                !PackedTensor::packable(*st[s].quant) ||
+                st[s + 1].kind != Kind::kGelu ||
+                st[s + 2].kind != Kind::kQuant)
+                continue;
+            const std::vector<float> &vals = st[s].quant->gridValues();
+            for (size_t i = 0; i < vals.size(); ++i) {
+                gelu[i] = geluScalar(vals[i]);
+                out[i] = st[s + 2].quant->quantize(gelu[i]);
             }
-            y = q;
-            break;
-          }
+            gelu_at = s;
+            return;
         }
     }
-    return y;
-}
+
+    /// Apply the stages in place to the output run y[0, len) of row @p i
+    /// starting at column @p j0, stage by stage (each element sees the
+    /// same operations in the same order as the separate passes).
+    /// @p local holds one QuantHealth per stage (per-thread; merged by
+    /// the caller).
+    void apply(QuantHealth *local, float *y, int64_t len, int64_t i,
+               int64_t j0, int64_t n) const
+    {
+        using Kind = GemmEpilogue::Stage::Kind;
+        const std::vector<GemmEpilogue::Stage> &stages = epi->stages;
+        for (size_t s = 0; s < stages.size(); ++s) {
+            const GemmEpilogue::Stage &st = stages[s];
+            if (s == gelu_at) {
+                const GemmEpilogue::Stage &last = stages[s + 2];
+                for (int64_t jj = 0; jj < len; ++jj)
+                    y[jj] = geluRun(local + s, st, last, y[jj]);
+                s += 2;
+                continue;
+            }
+            switch (st.kind) {
+              case Kind::kBias:
+                for (int64_t jj = 0; jj < len; ++jj)
+                    y[jj] += st.data[j0 + jj];
+                break;
+              case Kind::kGelu:
+                for (int64_t jj = 0; jj < len; ++jj)
+                    y[jj] = geluScalar(y[jj]);
+                break;
+              case Kind::kResidual:
+                for (int64_t jj = 0; jj < len; ++jj)
+                    y[jj] += st.data[i * n + j0 + jj];
+                break;
+              case Kind::kQuant:
+                for (int64_t jj = 0; jj < len; ++jj) {
+                    const float q = st.quant->quantize(y[jj]);
+                    if (st.health != nullptr)
+                        noteQuant(local[s], *st.quant, y[jj], q);
+                    y[jj] = q;
+                }
+                break;
+            }
+        }
+    }
+
+  private:
+    /// quant(q) -> gelu -> quant(c) on one element; @p h points at the
+    /// quant(q) stage's health slot (the quant(c) slot is h + 2).
+    float geluRun(QuantHealth *h, const GemmEpilogue::Stage &first,
+                  const GemmEpilogue::Stage &last, float y) const
+    {
+        if (std::isnan(y)) {
+            // No code for NaN: the staged path, call for call.
+            const float q = first.quant->quantize(y);
+            if (first.health != nullptr)
+                noteQuant(h[0], *first.quant, y, q);
+            const float g = geluScalar(q);
+            const float o = last.quant->quantize(g);
+            if (last.health != nullptr)
+                noteQuant(h[2], *last.quant, g, o);
+            return o;
+        }
+        const uint16_t code = first.quant->gridIndex(y);
+        if (first.health != nullptr)
+            noteQuant(h[0], *first.quant, y, first.quant->gridValues()[code]);
+        if (last.health != nullptr)
+            noteQuant(h[2], *last.quant, gelu[code], out[code]);
+        return out[code];
+    }
+};
 
 void
 checkQuantizedShapes(const Tensor &a, bool trans_a, const PackedTensor &w,
@@ -179,174 +272,261 @@ checkQuantizedShapes(const Tensor &a, bool trans_a, const PackedTensor &w,
         throw std::invalid_argument("gemmQuantized: shape mismatch");
 }
 
+/// Operands and shape of one gemmQuantized call, shared by the arms.
+struct GemmCall
+{
+    const float *pa;
+    int64_t lda;
+    bool trans_a;
+    const uint8_t *codes;
+    int64_t ldw; ///< Code-row stride.
+    bool trans_w;
+    const double *table;
+    float *pc;
+    int64_t m, n, k;
+    float alpha, beta;
+    const PreparedEpilogue *epi; ///< Null without an epilogue.
+    bool par;                    ///< Run the tiles in parallel.
+
+    size_t stages() const
+    {
+        return epi != nullptr ? epi->epi->stages.size() : 0;
+    }
+};
+
 /// alpha/beta + fused epilogue for the output block [i0, i0+bm) x
 /// [j0, j0+bn) while it is hot. @p acc holds its double sums with row
 /// stride @p ldacc; the final rounding matches gemm() exactly (double
 /// alpha*acc + beta*prev, one cast to float).
 void
-storeBlock(const double *acc, int64_t ldacc, int64_t i0, int64_t bm,
-           int64_t j0, int64_t bn, int64_t n, float alpha, float beta,
-           const GemmEpilogue *epi, QuantHealth *local, float *pc)
+storeBlock(const GemmCall &g, const double *acc, int64_t ldacc, int64_t i0,
+           int64_t bm, int64_t j0, int64_t bn, QuantHealth *local)
 {
     for (int64_t ii = 0; ii < bm; ++ii) {
-        float *rc = pc + (i0 + ii) * n;
+        float *rc = g.pc + (i0 + ii) * g.n + j0;
         for (int64_t jj = 0; jj < bn; ++jj) {
-            const int64_t j = j0 + jj;
             const double prev =
-                beta == 0.0f ? 0.0 : static_cast<double>(beta) * rc[j];
-            float y = static_cast<float>(
-                static_cast<double>(alpha) * acc[ii * ldacc + jj] + prev);
-            if (epi != nullptr)
-                y = applyEpilogue(*epi, local, y, i0 + ii, j, n);
-            rc[j] = y;
+                g.beta == 0.0f ? 0.0 : static_cast<double>(g.beta) * rc[jj];
+            rc[jj] = static_cast<float>(
+                static_cast<double>(g.alpha) * acc[ii * ldacc + jj] + prev);
         }
+        if (g.epi != nullptr)
+            g.epi->apply(local, rc, bn, i0 + ii, j0, g.n);
     }
 }
 
 /// Merge one thread's per-stage health partials into the stages' sinks.
 void
-mergeHealth(const GemmEpilogue *epi, const std::vector<QuantHealth> &local)
+mergeHealth(const GemmCall &g, const std::vector<QuantHealth> &local)
 {
     if (local.empty())
         return;
 #pragma omp critical(qt8_gemm_quantized_health)
     for (size_t s = 0; s < local.size(); ++s) {
-        if (epi->stages[s].health != nullptr)
-            epi->stages[s].health->merge(local[s]);
+        const GemmEpilogue::Stage &st = g.epi->epi->stages[s];
+        if (st.health != nullptr)
+            st.health->merge(local[s]);
+    }
+}
+
+/// Decode op(W) columns [j0, j0+bn) x k rows [k0, k0+kc) through the
+/// table into a column-interleaved [kc x NR] panel; lanes beyond bn are
+/// zero so their (discarded) accumulators stay inert.
+template <int64_t NR>
+void
+decodePanel(const GemmCall &g, int64_t j0, int64_t bn, int64_t k0,
+            int64_t kc, double *panel)
+{
+    const uint8_t *codes = g.codes;
+    const double *table = g.table;
+    const int64_t ldw = g.ldw;
+    if (bn < NR)
+        std::fill(panel, panel + kc * NR, 0.0);
+    if (g.trans_w) {
+        // op(W) column j is code row j: contiguous k run.
+        for (int64_t jj = 0; jj < bn; ++jj) {
+            const uint8_t *row = codes + (j0 + jj) * ldw + k0;
+            for (int64_t t = 0; t < kc; ++t)
+                panel[t * NR + jj] = table[row[t]];
+        }
+    } else {
+        // op(W) column j is code column j: stride-ldw walk.
+        for (int64_t t = 0; t < kc; ++t) {
+            const uint8_t *row = codes + (k0 + t) * ldw + j0;
+            for (int64_t jj = 0; jj < bn; ++jj)
+                panel[t * NR + jj] = table[row[jj]];
+        }
+    }
+}
+
+/// Small m, op(W) column j = code column j: each k step gathers a
+/// strip's 8 contiguous codes once for all m rows, no panel.
+void
+gatherArm(const GemmCall &g)
+{
+#pragma omp parallel if (g.par)
+    {
+        // Work item: up to kGatherNCols output columns of every row.
+        const int64_t groups = (g.n + kGatherNCols - 1) / kGatherNCols;
+        double acc[kGatherMaxM * kGatherNCols];
+        std::vector<QuantHealth> local(g.stages());
+#pragma omp for schedule(static)
+        for (int64_t grp = 0; grp < groups; ++grp) {
+            const int64_t j0 = grp * kGatherNCols;
+            const int64_t bn = std::min(g.n - j0, kGatherNCols);
+            std::fill(acc, acc + g.m * kGatherNCols, 0.0);
+            detail::gatherAccum(g.pa, g.trans_a ? 1 : g.lda,
+                                g.trans_a ? g.lda : 1, g.m, g.k,
+                                g.codes + j0, g.ldw, bn, g.table, acc,
+                                kGatherNCols);
+            storeBlock(g, acc, kGatherNCols, 0, g.m, j0, bn, local.data());
+        }
+        mergeHealth(g, local);
+    }
+}
+
+/// The one-row panel arm: decode each [kc x 8] panel, then run every
+/// row of the 64-row tile through the dot kernel on its own.
+void
+rowArm(const GemmCall &g, DotFn dot)
+{
+    const int64_t tiles_m = (g.m + kPackedMBlock - 1) / kPackedMBlock;
+    const int64_t strips_n = (g.n + kPackedNR - 1) / kPackedNR;
+#pragma omp parallel if (g.par)
+    {
+        // Per-thread scratch: the op(A) pack for trans_a (full-k rows,
+        // as in the fp32 blocked GEMM), the decoded panel, the per-row
+        // accumulators, and per-stage health partials.
+        std::vector<float> a_pack;
+        std::vector<double> wdec(
+            static_cast<size_t>(kPackedKChunk * kPackedNR));
+        std::vector<double> acc(
+            static_cast<size_t>(kPackedMBlock * kPackedNR));
+        std::vector<QuantHealth> local(g.stages());
+
+#pragma omp for schedule(static)
+        for (int64_t tile = 0; tile < tiles_m * strips_n; ++tile) {
+            const int64_t i0 = (tile / strips_n) * kPackedMBlock;
+            const int64_t j0 = (tile % strips_n) * kPackedNR;
+            const int64_t bm = std::min(g.m, i0 + kPackedMBlock) - i0;
+            const int64_t bn = std::min(g.n - j0, kPackedNR);
+
+            if (g.trans_a) {
+                // op(A) row i is column i of A: stride-lda gather.
+                a_pack.resize(static_cast<size_t>(bm * g.k));
+                for (int64_t t = 0; t < g.k; ++t) {
+                    const float *src = g.pa + t * g.lda + i0;
+                    for (int64_t ii = 0; ii < bm; ++ii)
+                        a_pack[static_cast<size_t>(ii * g.k + t)] = src[ii];
+                }
+            }
+            std::fill(acc.begin(), acc.begin() + bm * kPackedNR, 0.0);
+            for (int64_t k0 = 0; k0 < g.k; k0 += kPackedKChunk) {
+                const int64_t kc = std::min(kPackedKChunk, g.k - k0);
+                decodePanel<kPackedNR>(g, j0, bn, k0, kc, wdec.data());
+                for (int64_t ii = 0; ii < bm; ++ii) {
+                    const float *ra = g.trans_a
+                        ? a_pack.data() + ii * g.k + k0
+                        : g.pa + (i0 + ii) * g.lda + k0;
+                    dot(ra, wdec.data(), kc, acc.data() + ii * kPackedNR);
+                }
+            }
+            storeBlock(g, acc.data(), kPackedNR, i0, bm, j0, bn,
+                       local.data());
+        }
+        mergeHealth(g, local);
+    }
+}
+
+/// The register-blocked panel arms: decode each [kc x nr] panel once
+/// per 64-row tile, convert the tile's op(A) chunk to double (exact),
+/// and let @p rows run four rows against every panel load.
+void
+blockedArm(const GemmCall &g, int64_t nr, int64_t kchunk, PanelRowsFn rows)
+{
+    const int64_t tiles_m = (g.m + kPackedMBlock - 1) / kPackedMBlock;
+    const int64_t strips_n = (g.n + nr - 1) / nr;
+#pragma omp parallel if (g.par)
+    {
+        std::vector<double> ad(static_cast<size_t>(kPackedMBlock * kchunk));
+        std::vector<double> panel(static_cast<size_t>(kchunk * nr));
+        std::vector<double> acc(static_cast<size_t>(kPackedMBlock * nr));
+        std::vector<QuantHealth> local(g.stages());
+
+#pragma omp for schedule(static)
+        for (int64_t tile = 0; tile < tiles_m * strips_n; ++tile) {
+            const int64_t i0 = (tile / strips_n) * kPackedMBlock;
+            const int64_t j0 = (tile % strips_n) * nr;
+            const int64_t bm = std::min(g.m, i0 + kPackedMBlock) - i0;
+            const int64_t bn = std::min(g.n - j0, nr);
+
+            std::fill(acc.begin(), acc.begin() + bm * nr, 0.0);
+            for (int64_t k0 = 0; k0 < g.k; k0 += kchunk) {
+                const int64_t kc = std::min(kchunk, g.k - k0);
+                double *pd = ad.data();
+                if (g.trans_a) {
+                    for (int64_t t = 0; t < kc; ++t) {
+                        const float *src = g.pa + (k0 + t) * g.lda + i0;
+                        for (int64_t ii = 0; ii < bm; ++ii)
+                            pd[ii * kc + t] = src[ii];
+                    }
+                } else {
+                    for (int64_t ii = 0; ii < bm; ++ii) {
+                        const float *src = g.pa + (i0 + ii) * g.lda + k0;
+                        for (int64_t t = 0; t < kc; ++t)
+                            pd[ii * kc + t] = src[t];
+                    }
+                }
+                if (nr == kWideNR && bn == kWideNR)
+                    detail::decodePanel32(
+                        g.codes + (g.trans_w ? j0 * g.ldw + k0
+                                             : k0 * g.ldw + j0),
+                        g.ldw, g.trans_w, kc, g.table, panel.data());
+                else if (nr == kWideNR)
+                    decodePanel<kWideNR>(g, j0, bn, k0, kc, panel.data());
+                else
+                    decodePanel<kPackedNR>(g, j0, bn, k0, kc, panel.data());
+                rows(pd, kc, bm, panel.data(), kc, acc.data());
+            }
+            storeBlock(g, acc.data(), nr, i0, bm, j0, bn, local.data());
+        }
+        mergeHealth(g, local);
     }
 }
 
 void
-gemmQuantizedImpl(bool allow_gather, const Tensor &a, bool trans_a,
+gemmQuantizedImpl(GemmArm arm, const Tensor &a, bool trans_a,
                   const PackedTensor &w, bool trans_w, Tensor &c,
                   float alpha, float beta, const GemmEpilogue *epi)
 {
     QT8_TRACE_SCOPE("gemm_quantized");
     int64_t m, n, k;
     checkQuantizedShapes(a, trans_a, w, trans_w, c, m, n, k);
+    if (!detail::gemmArmAvailable(arm) ||
+        (arm == GemmArm::kGather && (m >= kGatherMaxM || trans_w)))
+        throw std::invalid_argument(
+            std::string("gemmQuantized: arm cannot run here: ") +
+            detail::gemmArmName(arm));
 
-    static const DotFn dot = pickDotKernel();
-
-    const float *pa = a.data();
-    float *pc = c.data();
-    const uint8_t *codes = w.codes();
-    const double *table = w.table();
-    const int64_t lda = a.dim(1);
-    const int64_t ldw = w.dim(1); // code-row stride
-
-    // Small m, op(W) column j = code column j: the gather arm reads each
-    // k step's 8 contiguous codes per strip once for all m rows. From
-    // m = 8 on, the panel arm shares each decoded chunk by up to 64
-    // rows.
-    const bool gather =
-        allow_gather && detail::gemmQuantizedUsesGather(m, trans_w);
-    const int64_t tiles_m = (m + kPackedMBlock - 1) / kPackedMBlock;
-    const int64_t strips_n = (n + kPackedNR - 1) / kPackedNR;
-    const int64_t tiles = tiles_m * strips_n;
-    const bool par =
-        m * n * k > kPackedParallelFlops && kernelThreads() > 1;
-    const size_t n_stages = epi != nullptr ? epi->stages.size() : 0;
-
-    if (gather) {
-#pragma omp parallel if (par)
-        {
-            // Work item: up to kGatherNCols output columns of every row.
-            const int64_t groups = (n + kGatherNCols - 1) / kGatherNCols;
-            double acc[kGatherMaxM * kGatherNCols];
-            std::vector<QuantHealth> local(n_stages);
-#pragma omp for schedule(static)
-            for (int64_t g = 0; g < groups; ++g) {
-                const int64_t j0 = g * kGatherNCols;
-                const int64_t bn = std::min(n - j0, kGatherNCols);
-                std::fill(acc, acc + m * kGatherNCols, 0.0);
-                detail::gatherAccum(pa, trans_a ? 1 : lda, trans_a ? lda : 1,
-                                    m, k, codes + j0, ldw, bn, table, acc,
-                                    kGatherNCols);
-                storeBlock(acc, kGatherNCols, 0, m, j0, bn, n, alpha, beta,
-                           epi, local.data(), pc);
-            }
-            mergeHealth(epi, local);
-        }
-        return;
-    }
-
-#pragma omp parallel if (par)
-    {
-        // Per-thread scratch: the op(A) pack for trans_a (full-k rows,
-        // as in the fp32 blocked GEMM), the decoded [kc x 8] weight
-        // panel, the per-row accumulators, and per-stage health
-        // partials (merged once at the end).
-        std::vector<float> a_pack;
-        std::vector<double> wdec(
-            static_cast<size_t>(kPackedKChunk * kPackedNR));
-        std::vector<double> acc(
-            static_cast<size_t>(kPackedMBlock * kPackedNR));
-        std::vector<QuantHealth> local(n_stages);
-
-#pragma omp for schedule(static)
-        for (int64_t tile = 0; tile < tiles; ++tile) {
-            const int64_t i0 = (tile / strips_n) * kPackedMBlock;
-            const int64_t j0 = (tile % strips_n) * kPackedNR;
-            const int64_t i1 = std::min(m, i0 + kPackedMBlock);
-            const int64_t bm = i1 - i0;
-            const int64_t bn = std::min(n - j0, kPackedNR);
-
-            if (trans_a) {
-                // op(A) row i is column i of A: stride-lda gather.
-                a_pack.resize(static_cast<size_t>(bm) * k);
-                for (int64_t t = 0; t < k; ++t) {
-                    const float *src = pa + t * lda + i0;
-                    for (int64_t ii = 0; ii < bm; ++ii)
-                        a_pack[static_cast<size_t>(ii) * k + t] = src[ii];
-                }
-            }
-
-            std::fill(acc.begin(),
-                      acc.begin() + static_cast<size_t>(bm) * kPackedNR,
-                      0.0);
-
-            for (int64_t k0 = 0; k0 < k; k0 += kPackedKChunk) {
-                const int64_t kc = std::min(kPackedKChunk, k - k0);
-                // Decode the code panel through the 256-entry table
-                // into column-interleaved doubles; lanes beyond bn are
-                // zero so their (discarded) accumulators stay inert.
-                if (bn < kPackedNR)
-                    std::fill(wdec.begin(),
-                              wdec.begin() +
-                                  static_cast<size_t>(kc) * kPackedNR,
-                              0.0);
-                if (trans_w) {
-                    // op(W) column j is code row j: contiguous k run.
-                    for (int64_t jj = 0; jj < bn; ++jj) {
-                        const uint8_t *row = codes + (j0 + jj) * ldw + k0;
-                        for (int64_t t = 0; t < kc; ++t)
-                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
-                                table[row[t]];
-                    }
-                } else {
-                    // op(W) column j is code column j: stride-ldw walk.
-                    for (int64_t t = 0; t < kc; ++t) {
-                        const uint8_t *row = codes + (k0 + t) * ldw + j0;
-                        for (int64_t jj = 0; jj < bn; ++jj)
-                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
-                                table[row[jj]];
-                    }
-                }
-
-                for (int64_t ii = 0; ii < bm; ++ii) {
-                    const float *ra = trans_a
-                        ? a_pack.data() + ii * k + k0
-                        : pa + (i0 + ii) * lda + k0;
-                    dot(ra, wdec.data(), kc,
-                        acc.data() + ii * kPackedNR);
-                }
-            }
-
-            storeBlock(acc.data(), kPackedNR, i0, bm, j0, bn, n, alpha, beta,
-                       epi, local.data(), pc);
-        }
-
-        mergeHealth(epi, local);
+    std::optional<PreparedEpilogue> prepared;
+    if (epi != nullptr)
+        prepared.emplace(epi);
+    const GemmCall g{a.data(), a.dim(1), trans_a, w.codes(), w.dim(1),
+                     trans_w, w.table(), c.data(), m, n, k, alpha, beta,
+                     prepared ? &*prepared : nullptr,
+                     m * n * k > kPackedParallelFlops &&
+                         kernelThreads() > 1};
+    switch (arm) {
+      case GemmArm::kGather:
+        return gatherArm(g);
+      case GemmArm::kPanel32:
+        return blockedArm(g, kWideNR, kWideKChunk, detail::panelRows32);
+      case GemmArm::kPanel8x4:
+        return blockedArm(g, kPackedNR, kPackedKChunk, detail::panelRows8);
+      case GemmArm::kPanelRow:
+        return rowArm(g, pickDotKernel());
+      case GemmArm::kPanelPortable:
+        return rowArm(g, dotChunk8Portable);
     }
 }
 
@@ -476,7 +656,9 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
               bool trans_w, Tensor &c, float alpha, float beta,
               const GemmEpilogue *epi)
 {
-    gemmQuantizedImpl(true, a, trans_a, w, trans_w, c, alpha, beta, epi);
+    const int64_t m = trans_a ? a.dim(1) : a.dim(0);
+    gemmQuantizedImpl(detail::gemmQuantizedArm(m, trans_w), a, trans_a, w,
+                      trans_w, c, alpha, beta, epi);
 }
 
 void
@@ -524,10 +706,54 @@ packedAccumRowsPaged(const float *w, const uint8_t *codes,
 
 namespace detail {
 
-bool
-gemmQuantizedUsesGather(int64_t m, bool trans_w)
+GemmArm
+gemmQuantizedArm(int64_t m, bool trans_w)
 {
-    return m < kGatherMaxM && !trans_w && packedGatherAvailable();
+    // m = 1 with trans_w stays on the one-row arm: decoding a 32-wide
+    // panel for a single row measured slower than the 8-wide one.
+    if (m < kGatherMaxM)
+        return !trans_w && packedGatherAvailable() ? GemmArm::kGather
+                                                   : GemmArm::kPanelRow;
+    if (packedGatherAvailable())
+        return GemmArm::kPanel32;
+    return packedRows8Available() ? GemmArm::kPanel8x4 : GemmArm::kPanelRow;
+}
+
+bool
+gemmArmAvailable(GemmArm arm)
+{
+    switch (arm) {
+      case GemmArm::kGather:
+      case GemmArm::kPanel32:
+        return packedGatherAvailable();
+      case GemmArm::kPanel8x4:
+        return packedRows8Available();
+      case GemmArm::kPanelRow:
+      case GemmArm::kPanelPortable:
+        return true;
+    }
+    return false;
+}
+
+const char *
+gemmArmName(GemmArm arm)
+{
+    switch (arm) {
+      case GemmArm::kGather: return "gather";
+      case GemmArm::kPanel32: return "panel32";
+      case GemmArm::kPanel8x4: return "panel8x4";
+      case GemmArm::kPanelRow: return "panel";
+      case GemmArm::kPanelPortable: return "portable";
+    }
+    return "?";
+}
+
+void
+gemmQuantizedOn(GemmArm arm, const Tensor &a, bool trans_a,
+                const PackedTensor &w, bool trans_w, Tensor &c, float alpha,
+                float beta, const GemmEpilogue *epi)
+{
+    gemmQuantizedImpl(arm, a, trans_a, w, trans_w, c, alpha, beta, epi);
 }
 
 void
@@ -535,7 +761,8 @@ gemmQuantizedPanel(const Tensor &a, bool trans_a, const PackedTensor &w,
                    bool trans_w, Tensor &c, float alpha, float beta,
                    const GemmEpilogue *epi)
 {
-    gemmQuantizedImpl(false, a, trans_a, w, trans_w, c, alpha, beta, epi);
+    gemmQuantizedImpl(GemmArm::kPanelRow, a, trans_a, w, trans_w, c, alpha,
+                      beta, epi);
 }
 
 void
@@ -561,7 +788,6 @@ packedAccumRowsPagedPanel(const float *w, const uint8_t *codes,
 }
 
 } // namespace detail
-
 
 void
 gemmQuantizedReference(const Tensor &a, bool trans_a, const PackedTensor &w,

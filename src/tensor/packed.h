@@ -12,10 +12,11 @@
  * power-of-two scale — 1 byte/element instead of 4.
  *
  * gemmQuantized() consumes the codes directly: the tile micro-kernel
- * decodes a [kc x 8] panel through the code table right before the FMA
- * loop (AVX2 / NEON behind a portable fallback, see packed_simd.h) —
- * or, at decode-sized m on AVX-512F hosts, gathers the table straight
- * into the FMA with no panel at all — and applies the consumer's
+ * decodes a code panel through the code table right before the FMA
+ * loop and shares it between register-blocked rows (AVX-512 / AVX2 /
+ * NEON behind a portable fallback, see packed_simd.h) — or, at
+ * decode-sized m on AVX-512F hosts, gathers the table straight into
+ * the FMA with no panel at all — and applies the consumer's
  * element-wise epilogue — bias add, GeLU, residual add, quantize-back —
  * on the output tile while it is hot, instead of as separate
  * full-tensor passes. This is the paper's "operation fusion" (section
@@ -170,16 +171,24 @@ struct GemmEpilogue
  * the Linear weight layout). Accumulation is double in ascending-k
  * order per output element — bit-identical to gemm()/gemmReference()
  * over unpack(W), with the epilogue matching the separate passes bit
- * for bit. Parallel over (64-row x 8-column) output tiles, so m=1
- * decode GEMVs still spread over cores; the micro-kernel decodes each
- * [kc x 8] code panel through the 256-entry table and runs the
- * column-vectorized FMA loop (AVX2/NEON when available).
+ * for bit. Parallel over (64-row x panel-width) output tiles, so m=1
+ * decode GEMVs still spread over cores. The arm follows m and the host
+ * (detail::gemmQuantizedArm), all with the same per-element
+ * ascending-k double sums, so the same bits:
  *
- * Small-m arm: for m < 8 with trans_w == false (W^T stored [k, n], the
- * Linear layout) on AVX-512F hosts, work items are 32-column output
- * blocks, and each k step gathers the 8 contiguous codes of a strip
- * through the table once for all m rows (detail::gatherAccum). Same
- * per-element ascending-k double sums, so the same bits.
+ *  - m < 8, trans_w == false (W^T stored [k, n], the Linear layout), on
+ *    AVX-512F hosts: 32-column work items, each k step gathering the 8
+ *    contiguous codes of a strip through the table once for all m rows
+ *    (detail::gatherAccum).
+ *  - m >= 8: each [kc x 32] (AVX-512F) or [kc x 8] (AVX2) code panel is
+ *    decoded once per 64-row tile and shared by 4-row register blocks
+ *    (detail::panelRows32 / panelRows8).
+ *  - otherwise: each [kc x 8] panel runs through a one-row
+ *    column-vectorized FMA loop (AVX2/NEON when available).
+ *
+ * An epilogue holding quant(q) -> gelu -> quant(c) with q a grid format
+ * (the FFN fc1 tail) runs those three stages as one lookup on q's code
+ * into a 256-entry table built per call: the same bits and health.
  */
 void gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
                    bool trans_w, Tensor &c, float alpha = 1.0f,
@@ -278,20 +287,53 @@ void packedAccumRowsPaged(const float *w, const uint8_t *codes,
 
 namespace detail {
 
-/// True when gemmQuantized takes the small-m gather arm for this shape
-/// on this host: m < 8, trans_w == false, AVX-512F available.
-bool gemmQuantizedUsesGather(int64_t m, bool trans_w);
-
 /**
- * The panel arm alone: the kernels hosts without AVX-512F run, and
- * gemmQuantized runs for m >= 8 or trans_w. The public entry points
- * pick the gather arm where it applies; tests call these to compare
- * both arms on one host.
+ * The kernel arms behind gemmQuantized. Each accumulates every output
+ * in double in ascending k, so all of them produce the same bits; the
+ * public entry point picks one from m, trans_w and the host, with no
+ * knob. Tests and benches run the others through gemmQuantizedOn.
  */
+enum class GemmArm {
+    kGather,   ///< m < 8, trans_w false: table gather into the FMA, no
+               ///< panel (AVX-512F).
+    kPanel32,  ///< [kc x 32] panel decoded once per 64-row tile, 4 rows
+               ///< x 4 zmm strips (AVX-512F).
+    kPanel8x4, ///< [kc x 8] panel, 4 rows x 8 columns (AVX2).
+    kPanelRow, ///< [kc x 8] panel, one row at a time (the AVX2 / NEON
+               ///< dot kernel, else scalar).
+    kPanelPortable, ///< kPanelRow with the scalar dot kernel.
+};
+
+/// The arm gemmQuantized takes: kGather for m < 8 with trans_w false;
+/// for m >= 8 the blocked panel arm of the host (kPanel32, else
+/// kPanel8x4, else kPanelRow); kPanelRow otherwise.
+GemmArm gemmQuantizedArm(int64_t m, bool trans_w);
+
+/// True when @p arm runs on this host (kGather also needs m < 8 and
+/// trans_w false).
+bool gemmArmAvailable(GemmArm arm);
+
+/// Short arm name for bench output ("gather", "panel32", ...).
+const char *gemmArmName(GemmArm arm);
+
+/// gemmQuantized on the given arm; std::invalid_argument when the arm
+/// cannot run this shape on this host.
+void gemmQuantizedOn(GemmArm arm, const Tensor &a, bool trans_a,
+                     const PackedTensor &w, bool trans_w, Tensor &c,
+                     float alpha = 1.0f, float beta = 0.0f,
+                     const GemmEpilogue *epi = nullptr);
+
+/// gemmQuantizedOn(GemmArm::kPanelRow, ...): the one-row panel arm,
+/// which every host has (the baseline the other arms replace).
 void gemmQuantizedPanel(const Tensor &a, bool trans_a,
                         const PackedTensor &w, bool trans_w, Tensor &c,
                         float alpha = 1.0f, float beta = 0.0f,
                         const GemmEpilogue *epi = nullptr);
+
+/**
+ * The KV GEMV panel kernels alone (the hosts without AVX-512F run
+ * these); tests compare them with the gather kernels on one host.
+ */
 void packedDotRowsPagedPanel(const float *q, const uint8_t *codes,
                              const double *table, const int32_t *pages,
                              int64_t page_size, int64_t rows, int64_t cols,

@@ -20,6 +20,13 @@
  * (one _mm512_i32gather_pd per 8 codes), which pays off only when few
  * rows share each decode. AVX2 gathers measured no faster than the
  * panel, so they have no AVX2 twin.
+ *
+ * From m = 8 on, the decoded panel is shared by enough rows to pay for
+ * itself, and the kernels are register-blocked over rows instead:
+ * panelRows32 (AVX-512F, a [kc x 32] panel, 4 rows x 4 zmm strips) and
+ * its AVX2 twin panelRows8 (a [kc x 8] panel, 4 rows x 2 ymm). Both read
+ * the activations pre-converted to double, so the inner loop is
+ * broadcast loads and FMAs only.
  */
 #ifndef QT8_TENSOR_PACKED_SIMD_H
 #define QT8_TENSOR_PACKED_SIMD_H
@@ -36,6 +43,10 @@ bool packedSimdAvailable();
 /// "+avx512-gather" when packedGatherAvailable().
 const char *packedSimdName();
 
+/// True when panelRows8 is the AVX2 kernel (x86 with AVX2 and FMA;
+/// checked once). NEON and portable builds run the one-row kernel.
+bool packedRows8Available();
+
 /// True when the AVX-512F gather kernels below can run (compiled in and
 /// supported by this CPU; checked once).
 bool packedGatherAvailable();
@@ -51,6 +62,19 @@ bool packedGatherAvailable();
  */
 void dotChunk8Simd(const float *a, const double *w, int64_t kc,
                    double *acc);
+
+/**
+ * acc[i*8 + jj] += sum over t in [0, kc) of a[i*lda + t] * panel[t*8 + jj]
+ * for i in [0, rows), jj in 0..7: dotChunk8Simd for @p rows rows at
+ * once, four rows sharing each panel load. @p a holds float values
+ * converted to double. Ascending t per element: bit-identical to
+ * dotChunk8Simd row by row.
+ *
+ * Only call when packedRows8Available() (other builds compile a
+ * scalar body so the symbol always links).
+ */
+void panelRows8(const double *a, int64_t lda, int64_t rows,
+                const double *panel, int64_t kc, double *acc);
 
 /**
  * acc[i*ldacc + j] += sum over t in [0, k) of
@@ -78,6 +102,31 @@ void gatherAccum(const float *a, int64_t a_rs, int64_t a_cs, int64_t m,
  */
 void gatherDot8(const float *q, const uint8_t *const *rows, int64_t cols,
                 const double *table, double *acc);
+
+/**
+ * Decode a full [kc x 32] weight panel through the table:
+ * panel[t*32 + j] = table[code(t, j)] for t in [0, kc), j in [0, 32),
+ * where code(t, j) is codes[t*ldw + j] (@p trans_w false: W^T stored
+ * [k, n]) or codes[j*ldw + t] (@p trans_w true: W stored [n, k]). One
+ * gather per 8 codes; trans_w transposes 8x8 code blocks in registers
+ * first, as gatherDot8 does.
+ *
+ * Only call when packedGatherAvailable().
+ */
+void decodePanel32(const uint8_t *codes, int64_t ldw, bool trans_w,
+                   int64_t kc, const double *table, double *panel);
+
+/**
+ * acc[i*32 + j] += sum over t in [0, kc) of a[i*lda + t] * panel[t*32 + j]
+ * for i in [0, rows), j in [0, 32): 4 rows x 4 zmm strips = 16
+ * accumulators in registers, each panel row loaded once per 4 rows.
+ * @p a holds float values converted to double. Ascending t per element,
+ * so bit-identical to the one-row panel kernel.
+ *
+ * Only call when packedGatherAvailable().
+ */
+void panelRows32(const double *a, int64_t lda, int64_t rows,
+                 const double *panel, int64_t kc, double *acc);
 
 } // namespace qt8::detail
 

@@ -167,6 +167,96 @@ gatherDot8(const float *q, const uint8_t *const *rows, int64_t cols,
     _mm512_storeu_pd(acc, c);
 }
 
+void
+decodePanel32(const uint8_t *codes, int64_t ldw, bool trans_w, int64_t kc,
+              const double *table, double *panel)
+{
+    if (!trans_w) {
+        // Code row t holds the panel's 32 columns contiguously.
+        for (int64_t t = 0; t < kc; ++t)
+            for (int s = 0; s < 4; ++s)
+                _mm512_storeu_pd(panel + t * 32 + 8 * s,
+                                 gather(codes + t * ldw + 8 * s, 8, table));
+        return;
+    }
+    // Code row j holds column j along k: 8 rows' 8 codes sit in the 8
+    // 64-bit lanes, and the low byte of every lane, shifted down 8 bits
+    // per k step, indexes one panel row's 8 columns (gatherDot8's
+    // transpose).
+    const __m512i byte = _mm512_set1_epi64(0xFF);
+    for (int s = 0; s < 4; ++s) {
+        const uint8_t *rows = codes + 8 * s * ldw;
+        for (int64_t t0 = 0; t0 < kc; t0 += 8) {
+            const int64_t tc = kc - t0 < 8 ? kc - t0 : 8;
+            const auto lane = [&](int r) {
+                return static_cast<long long>(
+                    loadCodes(rows + r * ldw + t0, tc));
+            };
+            __m512i lanes =
+                _mm512_set_epi64(lane(7), lane(6), lane(5), lane(4),
+                                 lane(3), lane(2), lane(1), lane(0));
+            for (int64_t t = 0; t < tc; ++t) {
+                _mm512_storeu_pd(
+                    panel + (t0 + t) * 32 + 8 * s,
+                    _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF,
+                                             _mm512_and_si512(lanes, byte),
+                                             table, 8));
+                lanes = _mm512_maskz_srli_epi64(0xFF, lanes, 8);
+            }
+        }
+    }
+}
+
+namespace {
+
+/// R rows x 32 columns: 4R zmm accumulators stay in registers across kc
+/// while each panel row's 4 strips are loaded once for all R rows.
+template <int R>
+void
+panelBlock32(const double *a, int64_t lda, const double *panel, int64_t kc,
+             double *acc)
+{
+    __m512d c[R][4];
+    for (int i = 0; i < R; ++i)
+        for (int s = 0; s < 4; ++s)
+            c[i][s] = _mm512_loadu_pd(acc + i * 32 + 8 * s);
+    for (int64_t t = 0; t < kc; ++t) {
+        __m512d w[4];
+        for (int s = 0; s < 4; ++s)
+            w[s] = _mm512_loadu_pd(panel + t * 32 + 8 * s);
+        for (int i = 0; i < R; ++i) {
+            // Float-valued doubles on both sides: the product is exact
+            // and the FMA rounds once, like the scalar add.
+            const __m512d av = _mm512_set1_pd(a[i * lda + t]);
+            for (int s = 0; s < 4; ++s)
+                c[i][s] = _mm512_fmadd_pd(av, w[s], c[i][s]);
+        }
+    }
+    for (int i = 0; i < R; ++i)
+        for (int s = 0; s < 4; ++s)
+            _mm512_storeu_pd(acc + i * 32 + 8 * s, c[i][s]);
+}
+
+} // namespace
+
+void
+panelRows32(const double *a, int64_t lda, int64_t rows, const double *panel,
+            int64_t kc, double *acc)
+{
+    int64_t i = 0;
+    for (; i + 4 <= rows; i += 4)
+        panelBlock32<4>(a + i * lda, lda, panel, kc, acc + i * 32);
+    switch (rows - i) {
+      case 3: return panelBlock32<3>(a + i * lda, lda, panel, kc,
+                                     acc + i * 32);
+      case 2: return panelBlock32<2>(a + i * lda, lda, panel, kc,
+                                     acc + i * 32);
+      case 1: return panelBlock32<1>(a + i * lda, lda, panel, kc,
+                                     acc + i * 32);
+      default: break;
+    }
+}
+
 #else
 
 bool
@@ -197,6 +287,26 @@ gatherDot8(const float *q, const uint8_t *const *rows, int64_t cols,
     for (int r = 0; r < 8; ++r)
         for (int64_t c = 0; c < cols; ++c)
             acc[r] += static_cast<double>(q[c]) * table[rows[r][c]];
+}
+
+void
+decodePanel32(const uint8_t *codes, int64_t ldw, bool trans_w, int64_t kc,
+              const double *table, double *panel)
+{
+    for (int64_t t = 0; t < kc; ++t)
+        for (int64_t j = 0; j < 32; ++j)
+            panel[t * 32 + j] =
+                table[trans_w ? codes[j * ldw + t] : codes[t * ldw + j]];
+}
+
+void
+panelRows32(const double *a, int64_t lda, int64_t rows, const double *panel,
+            int64_t kc, double *acc)
+{
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t t = 0; t < kc; ++t)
+            for (int64_t j = 0; j < 32; ++j)
+                acc[i * 32 + j] += a[i * lda + t] * panel[t * 32 + j];
 }
 
 #endif

@@ -7,7 +7,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -32,7 +35,16 @@ tinyConfig()
 class CheckpointTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { path_ = "/tmp/qt8_ckpt_test.bin"; }
+    // ctest runs every case as its own process, so each case gets its
+    // own file: the test name plus the pid.
+    void SetUp() override
+    {
+        path_ = ::testing::TempDir() + "qt8_ckpt_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin";
+    }
     void TearDown() override { std::remove(path_.c_str()); }
     std::string path_;
 };
@@ -86,7 +98,7 @@ TEST_F(CheckpointTest, MissingFileRejected)
     EncoderSpanQA a(tinyConfig(), 101);
     ParamList pa;
     a.collectParams(pa);
-    EXPECT_FALSE(loadCheckpoint("/tmp/definitely_missing_qt8.bin", pa));
+    EXPECT_FALSE(loadCheckpoint(path_, pa)); // never written
 }
 
 TEST_F(CheckpointTest, CorruptMagicRejected)

@@ -187,6 +187,51 @@ TEST(EngineThread, AbortResolvesInFlightWithEngineStopped)
     EXPECT_GE(engine.metricsSnapshot().stopped, 2);
 }
 
+TEST(EngineThread, SubmitAndSnapshotNeverWaitOnAStep)
+{
+    const ModelConfig cfg = tinyLmConfig();
+    CausalLM model(cfg, 919);
+    QuantSession qs(QuantConfig::fp32());
+
+    // Every step sleeps 300 ms inside the scheduler. An API call that
+    // waited for the step lock would let one step finish per call;
+    // counting steps instead of timing calls keeps the check free of
+    // any wall-clock threshold.
+    FaultConfig fc;
+    fc.delay_rate = 1.0;
+    fc.delay_ms = 300.0;
+    FaultInjector fault(fc);
+    EngineConfig ec;
+    ec.n_slots = 1;
+    ec.slot_capacity = 0;
+    ec.fault = &fault;
+    ServeEngine engine(model, qs, ec);
+
+    Rng rng(16);
+    Request busy;
+    busy.prompt = makePrompt(rng, cfg.vocab, 3);
+    busy.max_new_tokens = 10000; // keeps the engine stepping
+    busy.eos = -1;
+
+    engine.start();
+    engine.submit(busy);
+    while (engine.metricsSnapshot().steps < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    const int64_t before = engine.metricsSnapshot().steps;
+    for (int i = 0; i < 10; ++i) {
+        Request req = busy;
+        req.max_new_tokens = 2;
+        engine.submit(req);
+        EXPECT_EQ(2 + i, engine.metricsSnapshot().per_class[1].submitted);
+    }
+    const int64_t after = engine.metricsSnapshot().steps;
+    EXPECT_LE(after - before, 1);
+
+    engine.stop(StopMode::kAbort);
+    EXPECT_EQ(11, engine.metricsSnapshot().stopped);
+}
+
 TEST(EngineThread, StopStartCyclesKeepWorking)
 {
     const ModelConfig cfg = tinyLmConfig();

@@ -17,6 +17,7 @@
  *     the continuous-batching serve engine with weights_packed on emit
  *     bit-identical logits and tokens to the fake-quantized path.
  */
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -134,6 +135,22 @@ smallMShapes()
     return out;
 }
 
+/// Shapes for the register-blocked m >= 8 panel arms: m covers one
+/// 4-row block, a remainder of 1 and 3 rows, one 64-row tile with and
+/// without a ragged second tile, and several tiles; n covers less than
+/// one 32-column panel, a ragged panel and a ragged last panel; k as
+/// for smallMShapes (513 spans five 128-row panel chunks).
+std::vector<Shape>
+blockedShapes()
+{
+    std::vector<Shape> out;
+    for (const int64_t m : {8, 9, 12, 31, 33, 64, 65, 512})
+        for (const int64_t n : {8, 24, 33, 300})
+            for (const int64_t k : {1, 77, 513})
+                out.push_back({m, n, k});
+    return out;
+}
+
 TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
 {
     std::vector<Shape> shapes = {
@@ -145,6 +162,8 @@ TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
         {3, 200, 1},   // k = 1
     };
     for (const Shape &s : smallMShapes())
+        shapes.push_back(s);
+    for (const Shape &s : blockedShapes())
         shapes.push_back(s);
     const std::vector<std::pair<float, float>> scales = {
         {1.0f, 0.0f}, {0.5f, 1.0f}, {2.0f, -0.5f}};
@@ -230,35 +249,168 @@ TEST(GemmQuantized, FusedEpilogueBitIdenticalToSeparatePasses)
     std::vector<Shape> shapes = {{33, 70, 129}};
     for (const Shape &s : smallMShapes())
         shapes.push_back(s);
+    for (const Shape &s : blockedShapes())
+        shapes.push_back(s);
 
     Rng rng(23);
     for (const Shape &s : shapes) {
-        for (const bool tw : {true, false}) {
-            Tensor a({s.m, s.k}), bias({s.n}), skip({s.m, s.n});
-            Tensor w(tw ? std::vector<int64_t>{s.n, s.k}
-                        : std::vector<int64_t>{s.k, s.n});
-            rng.fillNormal(a);
-            rng.fillNormal(w);
-            rng.fillNormal(bias, 0.5);
-            rng.fillNormal(skip);
-            const PackedTensor pw = PackedTensor::pack(w, fwd);
-            for (const bool residual_tail : {false, true}) {
-                const std::string what =
-                    "m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
-                    " k=" + std::to_string(s.k) + " tw=" +
-                    std::to_string(tw) +
-                    (residual_tail ? " residual tail" : " gelu tail");
-                QuantHealth hf[3], hu[3];
-                const GemmEpilogue fused =
-                    ffnTail(residual_tail, bias, skip, fwd, carrier, hf);
-                const GemmEpilogue unfused =
-                    ffnTail(residual_tail, bias, skip, fwd, carrier, hu);
-                Tensor c0({s.m, s.n}), c1({s.m, s.n});
-                gemmQuantized(a, false, pw, tw, c0, 1.0f, 0.0f, &fused);
-                gemmQuantizedReference(a, false, pw, tw, c1, 1.0f, 0.0f,
-                                       &unfused);
+        for (const bool ta : {false, true}) {
+            for (const bool tw : {true, false}) {
+                Tensor a(ta ? std::vector<int64_t>{s.k, s.m}
+                            : std::vector<int64_t>{s.m, s.k});
+                Tensor bias({s.n}), skip({s.m, s.n});
+                Tensor w(tw ? std::vector<int64_t>{s.n, s.k}
+                            : std::vector<int64_t>{s.k, s.n});
+                rng.fillNormal(a);
+                rng.fillNormal(w);
+                rng.fillNormal(bias, 0.5);
+                rng.fillNormal(skip);
+                const PackedTensor pw = PackedTensor::pack(w, fwd);
+                for (const bool residual_tail : {false, true}) {
+                    const std::string what =
+                        "m=" + std::to_string(s.m) +
+                        " n=" + std::to_string(s.n) +
+                        " k=" + std::to_string(s.k) +
+                        " ta=" + std::to_string(ta) +
+                        " tw=" + std::to_string(tw) +
+                        (residual_tail ? " residual tail" : " gelu tail");
+                    QuantHealth hf[3], hu[3];
+                    const GemmEpilogue fused =
+                        ffnTail(residual_tail, bias, skip, fwd, carrier, hf);
+                    const GemmEpilogue unfused =
+                        ffnTail(residual_tail, bias, skip, fwd, carrier, hu);
+                    Tensor c0({s.m, s.n}), c1({s.m, s.n});
+                    gemmQuantized(a, ta, pw, tw, c0, 1.0f, 0.0f, &fused);
+                    gemmQuantizedReference(a, ta, pw, tw, c1, 1.0f, 0.0f,
+                                           &unfused);
+                    expectBitIdentical(c0, c1, what);
+                    expectSameHealth(hf, hu, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmQuantized, EveryArmBitIdenticalToReference)
+{
+    // gemmQuantized picks one arm per shape and host; every arm this
+    // host can run (the AVX2 twin and the portable one-row kernel
+    // included, on an AVX-512 host) must produce the reference's bits,
+    // beta path and epilogue health included.
+    using detail::GemmArm;
+    const Quantizer fwd = Quantizer::byName("posit(8,1)");
+    const Quantizer carrier = Quantizer::bf16();
+    std::vector<Shape> shapes = {{8, 33, 77},  {9, 300, 513}, {31, 24, 1},
+                                 {33, 8, 77},  {65, 33, 129}, {4, 40, 77},
+                                 {1, 300, 513}};
+    Rng rng(31);
+    for (const GemmArm arm :
+         {GemmArm::kGather, GemmArm::kPanel32, GemmArm::kPanel8x4,
+          GemmArm::kPanelRow, GemmArm::kPanelPortable}) {
+        if (!detail::gemmArmAvailable(arm))
+            continue;
+        for (const Shape &s : shapes) {
+            for (const bool ta : {false, true}) {
+                for (const bool tw : {false, true}) {
+                    if (arm == GemmArm::kGather && (s.m >= 8 || tw))
+                        continue;
+                    Tensor a(ta ? std::vector<int64_t>{s.k, s.m}
+                                : std::vector<int64_t>{s.m, s.k});
+                    Tensor w(tw ? std::vector<int64_t>{s.n, s.k}
+                                : std::vector<int64_t>{s.k, s.n});
+                    Tensor bias({s.n}), skip({s.m, s.n});
+                    rng.fillNormal(a);
+                    rng.fillNormal(w);
+                    rng.fillNormal(bias, 0.5);
+                    rng.fillNormal(skip);
+                    const PackedTensor pw = PackedTensor::pack(w, fwd);
+                    for (const bool residual_tail : {false, true}) {
+                        const std::string what =
+                            std::string(detail::gemmArmName(arm)) +
+                            " m=" + std::to_string(s.m) +
+                            " n=" + std::to_string(s.n) +
+                            " k=" + std::to_string(s.k) +
+                            " ta=" + std::to_string(ta) +
+                            " tw=" + std::to_string(tw) +
+                            (residual_tail ? " residual" : " gelu");
+                        QuantHealth hf[3], hu[3];
+                        const GemmEpilogue ef = ffnTail(
+                            residual_tail, bias, skip, fwd, carrier, hf);
+                        const GemmEpilogue eu = ffnTail(
+                            residual_tail, bias, skip, fwd, carrier, hu);
+                        Tensor c0({s.m, s.n});
+                        rng.fillNormal(c0);
+                        Tensor c1 = c0;
+                        detail::gemmQuantizedOn(arm, a, ta, pw, tw, c0, 0.5f,
+                                                1.0f, &ef);
+                        gemmQuantizedReference(a, ta, pw, tw, c1, 0.5f, 1.0f,
+                                               &eu);
+                        expectBitIdentical(c0, c1, what);
+                        expectSameHealth(hf, hu, what);
+                    }
+                }
+            }
+        }
+    }
+    // An arm that cannot run the shape is refused, not run.
+    Tensor a({8, 4}), c({8, 4});
+    const PackedTensor pw = PackedTensor::pack(Tensor({4, 4}), fwd);
+    EXPECT_THROW(detail::gemmQuantizedOn(GemmArm::kGather, a, false, pw,
+                                         false, c),
+                 std::invalid_argument);
+}
+
+TEST(GemmQuantized, GeluTableMatchesStagedTailOnEveryInput)
+{
+    // The fc1 tail quant(q) -> gelu -> quant(carrier) runs as a table
+    // on q's code. Drive every grid code, each grid value +-1 ulp, +-inf
+    // and NaN through it: y = a * 1.0 with k = 1 makes the GEMM output
+    // exactly the chosen inputs. Health is on, so the tabled stages'
+    // counters are checked against the separate passes too.
+    for (const std::string name : {"posit(8,1)", "e4m3"}) {
+        const Quantizer q = Quantizer::byName(name);
+        for (const Quantizer &carrier :
+             {Quantizer::bf16(), Quantizer::byName("posit(8,1)")}) {
+            std::vector<float> ins;
+            for (const float v : q.gridValues()) {
+                ins.push_back(v);
+                ins.push_back(std::nextafter(v, -INFINITY));
+                ins.push_back(std::nextafter(v, INFINITY));
+            }
+            ins.push_back(INFINITY);
+            ins.push_back(-INFINITY);
+            ins.push_back(std::numeric_limits<float>::quiet_NaN());
+            const int64_t m = static_cast<int64_t>(ins.size());
+            for (const int64_t n : {1, 40}) {
+                Tensor a({m, 1}), w({1, n});
+                for (int64_t i = 0; i < m; ++i)
+                    a.data()[i] = ins[static_cast<size_t>(i)];
+                for (int64_t j = 0; j < n; ++j)
+                    w.data()[j] = 1.0f;
+                const PackedTensor pw = PackedTensor::pack(w, q);
+                const std::string what = name + " carrier " +
+                                         carrier.name() +
+                                         " n=" + std::to_string(n);
+                QuantHealth hf[2], hu[2];
+                GemmEpilogue ef, eu;
+                ef.quant(&q, &hf[0]).gelu().quant(&carrier, &hf[1]);
+                eu.quant(&q, &hu[0]).gelu().quant(&carrier, &hu[1]);
+                Tensor c0({m, n}), c1({m, n});
+                gemmQuantized(a, false, pw, false, c0, 1.0f, 0.0f, &ef);
+                gemmQuantizedReference(a, false, pw, false, c1, 1.0f, 0.0f,
+                                       &eu);
                 expectBitIdentical(c0, c1, what);
-                expectSameHealth(hf, hu, what);
+                for (int s = 0; s < 2; ++s) {
+                    EXPECT_EQ(hf[s].count, hu[s].count) << what;
+                    EXPECT_EQ(hf[s].saturated, hu[s].saturated) << what;
+                    EXPECT_EQ(hf[s].underflow, hu[s].underflow) << what;
+                    EXPECT_EQ(hf[s].nonfinite, hu[s].nonfinite) << what;
+                    EXPECT_DOUBLE_EQ(hf[s].amax, hu[s].amax) << what;
+                    EXPECT_NEAR(hf[s].abs_err_sum, hu[s].abs_err_sum,
+                                1e-9 * (1.0 + hu[s].abs_err_sum))
+                        << what;
+                }
+                EXPECT_EQ(3 * n, hf[0].nonfinite) << what; // +-inf, NaN
             }
         }
     }
