@@ -468,7 +468,8 @@ gemmJsonMain(const std::string &path)
             const GemmRate packed = timeGemm(
                 flops, [&] { gemmQuantized(a, false, p, tw, c); });
             const GemmRate panel = timeGemm(flops, [&] {
-                detail::gemmQuantizedPanel(a, false, p, tw, c);
+                detail::gemmQuantizedOn(detail::GemmArm::kPanelRow, a,
+                                        false, p, tw, c);
             });
             const char *arm =
                 detail::gemmArmName(detail::gemmQuantizedArm(m, tw));

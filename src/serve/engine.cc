@@ -229,7 +229,7 @@ void
 ServeEngine::publishMetricsLocked()
 {
     std::lock_guard<std::mutex> lock(publish_mu_);
-    published_ = metrics_;
+    published_.catchUp(metrics_);
 }
 
 void
@@ -1100,6 +1100,41 @@ ServeEngine::admitPagedWithPressureLocked(PendingRequest &p)
 }
 
 bool
+ServeEngine::awaitsSharedPrefixLocked(const PendingRequest &p) const
+{
+    // A prompt enters the radix cache only when its prefill completes,
+    // so requests admitted in one step would each prefill a prefix
+    // they share. Instead, a sessionless prompt that shares at least
+    // one full page with a request still prefilling — beyond the rows
+    // that request itself took from the cache — waits (parked as its
+    // class head, no pressure escalation) until the donation lands,
+    // then adopts the pages. Tokens are unchanged: cached rows are
+    // bit-identical to computed ones. The wait ends when the leader
+    // finishes its prefill or leaves the active set, so it cannot
+    // livelock.
+    if (clm_ == nullptr || !ppool_->prefixCacheEnabled() ||
+        (smgr_ != nullptr && p.request.session_id != 0))
+        return false;
+    const std::vector<int32_t> &prompt = p.request.prompt;
+    // matchPrefix never serves the last prompt row.
+    const int64_t usable = static_cast<int64_t>(prompt.size()) - 1;
+    for (const auto &a : active_) {
+        const std::vector<int32_t> &lead = a->effPrompt();
+        const int64_t llen = static_cast<int64_t>(lead.size());
+        if (a->kv_poisoned || a->prefill_pos >= llen)
+            continue;
+        const int64_t cap = std::min(usable, llen);
+        int64_t same = 0;
+        while (same < cap && prompt[static_cast<size_t>(same)] ==
+                                 lead[static_cast<size_t>(same)])
+            ++same;
+        if (same / cfg_.page_size * cfg_.page_size > a->pseq.shared_rows)
+            return true;
+    }
+    return false;
+}
+
+bool
 ServeEngine::preemptLowestLocked(int below_class)
 {
     // Victim: the numerically largest (least urgent) class above
@@ -1301,7 +1336,8 @@ ServeEngine::admitPagedLocked()
             continue;
         auto &park = parked_[c];
         if (park.has_value() && !capReached()) {
-            if (admitPagedWithPressureLocked(*park)) {
+            if (!awaitsSharedPrefixLocked(*park) &&
+                admitPagedWithPressureLocked(*park)) {
                 park.reset();
                 ++admitted;
             } else {
@@ -1319,12 +1355,14 @@ ServeEngine::admitPagedLocked()
         PendingRequest p;
         if (!queue_.tryPopScheduled(now, blocked, p))
             break;
-        if (admitPagedWithPressureLocked(p)) {
+        if (!awaitsSharedPrefixLocked(p) &&
+            admitPagedWithPressureLocked(p)) {
             ++admitted;
             continue;
         }
-        // Does not fit right now: park as this class's head so
-        // backpressure never reorders requests within the class.
+        // Does not fit right now, or waits for a shared prefix: park
+        // as this class's head so requests within the class keep
+        // their order.
         const size_t c = static_cast<size_t>(p.request.priority_class);
         parked_[c] = std::move(p);
         blocked[c] = true;

@@ -320,6 +320,10 @@ class ServeEngine
     /// Escalating admission: plain gate, then idle-session spill, then
     /// preemption of strictly-lower-class in-flight decodes.
     bool admitPagedWithPressureLocked(PendingRequest &p);
+    /// True when @p p should wait for a prefilling request's prompt
+    /// pages instead of computing the same rows itself (in-batch
+    /// prefix sharing, DESIGN.md §14).
+    bool awaitsSharedPrefixLocked(const PendingRequest &p) const;
     /// Re-admit a preempted victim by resuming its checkpoint session
     /// (resident / restored / recomputed); false = still blocked.
     bool admitPreemptedOneLocked(Active &a);
@@ -346,7 +350,8 @@ class ServeEngine
     void threadMain();
     bool hasWork();
     void abortAll();
-    /// Copy metrics_ into published_ (caller holds mu_).
+    /// Bring published_ up to metrics_: the counters plus only the
+    /// samples added since the last publish (caller holds mu_).
     void publishMetricsLocked();
     /// Add the submit-side atomic counters into @p m.
     void foldSubmitCounts(ServeMetrics &m) const;

@@ -1,6 +1,7 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 #include "util/trace.h"
@@ -87,6 +88,37 @@ LatencyHistogram::mean() const
     for (double s : samples_)
         total += s;
     return total / static_cast<double>(samples_.size());
+}
+
+size_t
+LatencyHistogram::catchUp(const LatencyHistogram &src)
+{
+    assert(samples_.size() <= src.samples_.size());
+    const size_t n = src.samples_.size() - samples_.size();
+    samples_.insert(samples_.end(), src.samples_.end() - n,
+                    src.samples_.end());
+    return n;
+}
+
+size_t
+ServeMetrics::catchUp(const ServeMetrics &src)
+{
+    static_cast<ServeCounters &>(*this) = src;
+    assert(requests.size() <= src.requests.size());
+    size_t n = src.requests.size() - requests.size();
+    requests.insert(requests.end(), src.requests.end() - n,
+                    src.requests.end());
+    n += ttft_ms.catchUp(src.ttft_ms);
+    n += request_latency_ms.catchUp(src.request_latency_ms);
+    n += token_latency_ms.catchUp(src.token_latency_ms);
+    for (size_t c = 0; c < kNumClasses; ++c) {
+        ClassMetrics &dc = per_class[c];
+        const ClassMetrics &sc = src.per_class[c];
+        static_cast<ClassCounters &>(dc) = sc;
+        n += dc.ttft_ms.catchUp(sc.ttft_ms);
+        n += dc.latency_ms.catchUp(sc.latency_ms);
+    }
+    return n;
 }
 
 void

@@ -28,6 +28,10 @@ class LatencyHistogram
   public:
     void record(double ms) { samples_.push_back(ms); }
     size_t count() const { return samples_.size(); }
+    /// Bring this histogram up to @p src, of which it is an earlier
+    /// copy (samples are only ever appended): copies just the samples
+    /// recorded since. Returns how many.
+    size_t catchUp(const LatencyHistogram &src);
     double percentile(double p) const; ///< p clamped to [0, 100].
     double mean() const;
 
@@ -53,9 +57,8 @@ struct RequestRecord
     int64_t preemptions = 0; ///< Scheduler preempt-resume round trips.
 };
 
-/// Per-priority-class slice of the serve metrics (fair-share and SLO
-/// accounting, DESIGN.md §16).
-struct ClassMetrics
+/// The counters of ClassMetrics (everything but its samples).
+struct ClassCounters
 {
     int64_t submitted = 0; ///< Accepted submissions (post-validation).
     int64_t completed = 0; ///< Retirements of any terminal status.
@@ -65,21 +68,21 @@ struct ClassMetrics
     int64_t preemptions = 0;
     int64_t generated_tokens = 0;
     int64_t goodput_tokens = 0; ///< Generated tokens of SLO-met requests.
+};
+
+/// Per-priority-class slice of the serve metrics (fair-share and SLO
+/// accounting, DESIGN.md §16).
+struct ClassMetrics : ClassCounters
+{
     LatencyHistogram ttft_ms;
     LatencyHistogram latency_ms;
 };
 
-/// Aggregated engine metrics; filled by the scheduler as requests
-/// retire and steps complete. Plain copyable data: the engine hands
-/// out consistent copies through ServeEngine::metricsSnapshot() while
-/// the scheduler thread keeps writing.
-struct ServeMetrics
+/// The counters and gauges of ServeMetrics: everything but its
+/// per-request and per-token samples, so copying them costs the same
+/// however long the engine has run.
+struct ServeCounters
 {
-    std::vector<RequestRecord> requests;
-    LatencyHistogram ttft_ms;
-    LatencyHistogram request_latency_ms;
-    LatencyHistogram token_latency_ms; ///< Per generated token.
-
     int64_t completed = 0;  ///< All retirements (any terminal status).
     int64_t truncated = 0;  ///< kCapacityExceeded retirements.
     int64_t cancelled = 0;  ///< kCancelled retirements.
@@ -105,7 +108,6 @@ struct ServeMetrics
     int64_t preempted = 0; ///< Out-of-pages forced retirements.
 
     // Multi-tenant scheduling (DESIGN.md §16).
-    std::array<ClassMetrics, kNumClasses> per_class;
     int64_t sched_preemptions = 0; ///< Spill-and-requeue preemptions
                                    ///< (the victim resumes later —
                                    ///< distinct from `preempted`,
@@ -127,6 +129,26 @@ struct ServeMetrics
     int64_t restored_bytes = 0;     ///< Bytes read back on restore.
     int64_t sessions_resident = 0;  ///< Gauge: idle sessions in RAM.
     int64_t sessions_on_disk = 0;   ///< Gauge: idle sessions spilled.
+};
+
+/// Aggregated engine metrics; filled by the scheduler as requests
+/// retire and steps complete. Plain copyable data: the engine hands
+/// out consistent copies through ServeEngine::metricsSnapshot() while
+/// the scheduler thread keeps writing.
+struct ServeMetrics : ServeCounters
+{
+    std::vector<RequestRecord> requests;
+    LatencyHistogram ttft_ms;
+    LatencyHistogram request_latency_ms;
+    LatencyHistogram token_latency_ms; ///< Per generated token.
+    std::array<ClassMetrics, kNumClasses> per_class;
+
+    /// Bring this copy up to @p src, of which it is an earlier copy
+    /// (records and samples are only ever appended): copies the
+    /// counters and appends just the records and samples added since,
+    /// so the cost follows the new samples, not the history. Returns
+    /// the records plus samples copied.
+    size_t catchUp(const ServeMetrics &src);
 
     void recordRetirement(const RequestRecord &r);
 

@@ -126,9 +126,6 @@ pickDotKernel()
                                          : dotChunk8Portable;
 }
 
-using PanelRowsFn = void (*)(const double *, int64_t, int64_t,
-                             const double *, int64_t, double *);
-
 /// Record one quantize point's health for input @p y rounded to @p q,
 /// matching the health-aware Quantizer::quantizeInPlace overload.
 void
@@ -329,36 +326,6 @@ mergeHealth(const GemmCall &g, const std::vector<QuantHealth> &local)
     }
 }
 
-/// Decode op(W) columns [j0, j0+bn) x k rows [k0, k0+kc) through the
-/// table into a column-interleaved [kc x NR] panel; lanes beyond bn are
-/// zero so their (discarded) accumulators stay inert.
-template <int64_t NR>
-void
-decodePanel(const GemmCall &g, int64_t j0, int64_t bn, int64_t k0,
-            int64_t kc, double *panel)
-{
-    const uint8_t *codes = g.codes;
-    const double *table = g.table;
-    const int64_t ldw = g.ldw;
-    if (bn < NR)
-        std::fill(panel, panel + kc * NR, 0.0);
-    if (g.trans_w) {
-        // op(W) column j is code row j: contiguous k run.
-        for (int64_t jj = 0; jj < bn; ++jj) {
-            const uint8_t *row = codes + (j0 + jj) * ldw + k0;
-            for (int64_t t = 0; t < kc; ++t)
-                panel[t * NR + jj] = table[row[t]];
-        }
-    } else {
-        // op(W) column j is code column j: stride-ldw walk.
-        for (int64_t t = 0; t < kc; ++t) {
-            const uint8_t *row = codes + (k0 + t) * ldw + j0;
-            for (int64_t jj = 0; jj < bn; ++jj)
-                panel[t * NR + jj] = table[row[jj]];
-        }
-    }
-}
-
 /// Small m, op(W) column j = code column j: each k step gathers a
 /// strip's 8 contiguous codes once for all m rows, no panel.
 void
@@ -390,13 +357,24 @@ gatherArm(const GemmCall &g)
 void
 rowArm(const GemmCall &g, DotFn dot)
 {
-    const int64_t tiles_m = (g.m + kPackedMBlock - 1) / kPackedMBlock;
-    const int64_t strips_n = (g.n + kPackedNR - 1) / kPackedNR;
+    const float *pa = g.pa;
+    const uint8_t *codes = g.codes;
+    const double *table = g.table;
+    const int64_t lda = g.lda;
+    const int64_t ldw = g.ldw;
+    const bool trans_a = g.trans_a;
+    const bool trans_w = g.trans_w;
+    const int64_t m = g.m, n = g.n, k = g.k;
+    const int64_t tiles_m = (m + kPackedMBlock - 1) / kPackedMBlock;
+    const int64_t strips_n = (n + kPackedNR - 1) / kPackedNR;
+    const int64_t tiles = tiles_m * strips_n;
+
 #pragma omp parallel if (g.par)
     {
         // Per-thread scratch: the op(A) pack for trans_a (full-k rows,
-        // as in the fp32 blocked GEMM), the decoded panel, the per-row
-        // accumulators, and per-stage health partials.
+        // as in the fp32 blocked GEMM), the decoded [kc x 8] weight
+        // panel, the per-row accumulators, and per-stage health
+        // partials (merged once at the end).
         std::vector<float> a_pack;
         std::vector<double> wdec(
             static_cast<size_t>(kPackedKChunk * kPackedNR));
@@ -405,64 +383,115 @@ rowArm(const GemmCall &g, DotFn dot)
         std::vector<QuantHealth> local(g.stages());
 
 #pragma omp for schedule(static)
-        for (int64_t tile = 0; tile < tiles_m * strips_n; ++tile) {
+        for (int64_t tile = 0; tile < tiles; ++tile) {
             const int64_t i0 = (tile / strips_n) * kPackedMBlock;
             const int64_t j0 = (tile % strips_n) * kPackedNR;
-            const int64_t bm = std::min(g.m, i0 + kPackedMBlock) - i0;
-            const int64_t bn = std::min(g.n - j0, kPackedNR);
+            const int64_t i1 = std::min(m, i0 + kPackedMBlock);
+            const int64_t bm = i1 - i0;
+            const int64_t bn = std::min(n - j0, kPackedNR);
 
-            if (g.trans_a) {
+            if (trans_a) {
                 // op(A) row i is column i of A: stride-lda gather.
-                a_pack.resize(static_cast<size_t>(bm * g.k));
-                for (int64_t t = 0; t < g.k; ++t) {
-                    const float *src = g.pa + t * g.lda + i0;
+                a_pack.resize(static_cast<size_t>(bm) * k);
+                for (int64_t t = 0; t < k; ++t) {
+                    const float *src = pa + t * lda + i0;
                     for (int64_t ii = 0; ii < bm; ++ii)
-                        a_pack[static_cast<size_t>(ii * g.k + t)] = src[ii];
+                        a_pack[static_cast<size_t>(ii) * k + t] = src[ii];
                 }
             }
-            std::fill(acc.begin(), acc.begin() + bm * kPackedNR, 0.0);
-            for (int64_t k0 = 0; k0 < g.k; k0 += kPackedKChunk) {
-                const int64_t kc = std::min(kPackedKChunk, g.k - k0);
-                decodePanel<kPackedNR>(g, j0, bn, k0, kc, wdec.data());
+
+            std::fill(acc.begin(),
+                      acc.begin() + static_cast<size_t>(bm) * kPackedNR,
+                      0.0);
+
+            for (int64_t k0 = 0; k0 < k; k0 += kPackedKChunk) {
+                const int64_t kc = std::min(kPackedKChunk, k - k0);
+                // Decode the code panel through the 256-entry table
+                // into column-interleaved doubles; lanes beyond bn are
+                // zero so their (discarded) accumulators stay inert.
+                if (bn < kPackedNR)
+                    std::fill(wdec.begin(),
+                              wdec.begin() +
+                                  static_cast<size_t>(kc) * kPackedNR,
+                              0.0);
+                if (trans_w) {
+                    // op(W) column j is code row j: contiguous k run.
+                    for (int64_t jj = 0; jj < bn; ++jj) {
+                        const uint8_t *row = codes + (j0 + jj) * ldw + k0;
+                        for (int64_t t = 0; t < kc; ++t)
+                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
+                                table[row[t]];
+                    }
+                } else {
+                    // op(W) column j is code column j: stride-ldw walk.
+                    for (int64_t t = 0; t < kc; ++t) {
+                        const uint8_t *row = codes + (k0 + t) * ldw + j0;
+                        for (int64_t jj = 0; jj < bn; ++jj)
+                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
+                                table[row[jj]];
+                    }
+                }
+
                 for (int64_t ii = 0; ii < bm; ++ii) {
-                    const float *ra = g.trans_a
-                        ? a_pack.data() + ii * g.k + k0
-                        : g.pa + (i0 + ii) * g.lda + k0;
-                    dot(ra, wdec.data(), kc, acc.data() + ii * kPackedNR);
+                    const float *ra = trans_a
+                        ? a_pack.data() + ii * k + k0
+                        : pa + (i0 + ii) * lda + k0;
+                    dot(ra, wdec.data(), kc,
+                        acc.data() + ii * kPackedNR);
                 }
             }
+
             storeBlock(g, acc.data(), kPackedNR, i0, bm, j0, bn,
                        local.data());
         }
+
         mergeHealth(g, local);
     }
 }
 
-/// The register-blocked panel arms: decode each [kc x nr] panel once
-/// per 64-row tile, convert the tile's op(A) chunk to double (exact),
-/// and let @p rows run four rows against every panel load.
+/// Decode op(W) columns [j0, j0+bn) x k rows [k0, k0+kc), bn < 32,
+/// through the table into a column-interleaved [kc x 32] panel; lanes
+/// beyond bn are zero so their (discarded) accumulators stay inert.
+/// Full-width panels take detail::decodePanel32 instead.
 void
-blockedArm(const GemmCall &g, int64_t nr, int64_t kchunk, PanelRowsFn rows)
+decodeEdgePanel(const GemmCall &g, int64_t j0, int64_t bn, int64_t k0,
+                int64_t kc, double *panel)
+{
+    std::fill(panel, panel + kc * kWideNR, 0.0);
+    for (int64_t jj = 0; jj < bn; ++jj)
+        for (int64_t t = 0; t < kc; ++t)
+            panel[t * kWideNR + jj] =
+                g.table[g.trans_w ? g.codes[(j0 + jj) * g.ldw + k0 + t]
+                                  : g.codes[(k0 + t) * g.ldw + j0 + jj]];
+}
+
+/// The register-blocked panel arm (AVX-512F): decode each [kc x 32]
+/// panel once per 64-row tile, convert the tile's op(A) chunk to double
+/// (exact), and run four rows against every panel load
+/// (detail::panelRows32).
+void
+panel32Arm(const GemmCall &g)
 {
     const int64_t tiles_m = (g.m + kPackedMBlock - 1) / kPackedMBlock;
-    const int64_t strips_n = (g.n + nr - 1) / nr;
+    const int64_t strips_n = (g.n + kWideNR - 1) / kWideNR;
 #pragma omp parallel if (g.par)
     {
-        std::vector<double> ad(static_cast<size_t>(kPackedMBlock * kchunk));
-        std::vector<double> panel(static_cast<size_t>(kchunk * nr));
-        std::vector<double> acc(static_cast<size_t>(kPackedMBlock * nr));
+        std::vector<double> ad(
+            static_cast<size_t>(kPackedMBlock * kWideKChunk));
+        std::vector<double> panel(static_cast<size_t>(kWideKChunk * kWideNR));
+        std::vector<double> acc(static_cast<size_t>(kPackedMBlock * kWideNR));
         std::vector<QuantHealth> local(g.stages());
 
 #pragma omp for schedule(static)
         for (int64_t tile = 0; tile < tiles_m * strips_n; ++tile) {
             const int64_t i0 = (tile / strips_n) * kPackedMBlock;
-            const int64_t j0 = (tile % strips_n) * nr;
+            const int64_t j0 = (tile % strips_n) * kWideNR;
             const int64_t bm = std::min(g.m, i0 + kPackedMBlock) - i0;
-            const int64_t bn = std::min(g.n - j0, nr);
+            const int64_t bn = std::min(g.n - j0, kWideNR);
 
-            std::fill(acc.begin(), acc.begin() + bm * nr, 0.0);
-            for (int64_t k0 = 0; k0 < g.k; k0 += kchunk) {
-                const int64_t kc = std::min(kchunk, g.k - k0);
+            std::fill(acc.begin(), acc.begin() + bm * kWideNR, 0.0);
+            for (int64_t k0 = 0; k0 < g.k; k0 += kWideKChunk) {
+                const int64_t kc = std::min(kWideKChunk, g.k - k0);
                 double *pd = ad.data();
                 if (g.trans_a) {
                     for (int64_t t = 0; t < kc; ++t) {
@@ -477,18 +506,17 @@ blockedArm(const GemmCall &g, int64_t nr, int64_t kchunk, PanelRowsFn rows)
                             pd[ii * kc + t] = src[t];
                     }
                 }
-                if (nr == kWideNR && bn == kWideNR)
+                if (bn == kWideNR)
                     detail::decodePanel32(
                         g.codes + (g.trans_w ? j0 * g.ldw + k0
                                              : k0 * g.ldw + j0),
                         g.ldw, g.trans_w, kc, g.table, panel.data());
-                else if (nr == kWideNR)
-                    decodePanel<kWideNR>(g, j0, bn, k0, kc, panel.data());
                 else
-                    decodePanel<kPackedNR>(g, j0, bn, k0, kc, panel.data());
-                rows(pd, kc, bm, panel.data(), kc, acc.data());
+                    decodeEdgePanel(g, j0, bn, k0, kc, panel.data());
+                detail::panelRows32(pd, kc, bm, panel.data(), kc,
+                                    acc.data());
             }
-            storeBlock(g, acc.data(), nr, i0, bm, j0, bn, local.data());
+            storeBlock(g, acc.data(), kWideNR, i0, bm, j0, bn, local.data());
         }
         mergeHealth(g, local);
     }
@@ -520,11 +548,11 @@ gemmQuantizedImpl(GemmArm arm, const Tensor &a, bool trans_a,
       case GemmArm::kGather:
         return gatherArm(g);
       case GemmArm::kPanel32:
-        return blockedArm(g, kWideNR, kWideKChunk, detail::panelRows32);
-      case GemmArm::kPanel8x4:
-        return blockedArm(g, kPackedNR, kPackedKChunk, detail::panelRows8);
-      case GemmArm::kPanelRow:
-        return rowArm(g, pickDotKernel());
+        return panel32Arm(g);
+      case GemmArm::kPanelRow: {
+        static const DotFn dot = pickDotKernel();
+        return rowArm(g, dot);
+      }
       case GemmArm::kPanelPortable:
         return rowArm(g, dotChunk8Portable);
     }
@@ -714,9 +742,7 @@ gemmQuantizedArm(int64_t m, bool trans_w)
     if (m < kGatherMaxM)
         return !trans_w && packedGatherAvailable() ? GemmArm::kGather
                                                    : GemmArm::kPanelRow;
-    if (packedGatherAvailable())
-        return GemmArm::kPanel32;
-    return packedRows8Available() ? GemmArm::kPanel8x4 : GemmArm::kPanelRow;
+    return packedGatherAvailable() ? GemmArm::kPanel32 : GemmArm::kPanelRow;
 }
 
 bool
@@ -726,8 +752,6 @@ gemmArmAvailable(GemmArm arm)
       case GemmArm::kGather:
       case GemmArm::kPanel32:
         return packedGatherAvailable();
-      case GemmArm::kPanel8x4:
-        return packedRows8Available();
       case GemmArm::kPanelRow:
       case GemmArm::kPanelPortable:
         return true;
@@ -741,7 +765,6 @@ gemmArmName(GemmArm arm)
     switch (arm) {
       case GemmArm::kGather: return "gather";
       case GemmArm::kPanel32: return "panel32";
-      case GemmArm::kPanel8x4: return "panel8x4";
       case GemmArm::kPanelRow: return "panel";
       case GemmArm::kPanelPortable: return "portable";
     }
@@ -754,15 +777,6 @@ gemmQuantizedOn(GemmArm arm, const Tensor &a, bool trans_a,
                 float beta, const GemmEpilogue *epi)
 {
     gemmQuantizedImpl(arm, a, trans_a, w, trans_w, c, alpha, beta, epi);
-}
-
-void
-gemmQuantizedPanel(const Tensor &a, bool trans_a, const PackedTensor &w,
-                   bool trans_w, Tensor &c, float alpha, float beta,
-                   const GemmEpilogue *epi)
-{
-    gemmQuantizedImpl(GemmArm::kPanelRow, a, trans_a, w, trans_w, c, alpha,
-                      beta, epi);
 }
 
 void

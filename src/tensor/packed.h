@@ -13,9 +13,9 @@
  *
  * gemmQuantized() consumes the codes directly: the tile micro-kernel
  * decodes a code panel through the code table right before the FMA
- * loop and shares it between register-blocked rows (AVX-512 / AVX2 /
- * NEON behind a portable fallback, see packed_simd.h) — or, at
- * decode-sized m on AVX-512F hosts, gathers the table straight into
+ * loop (AVX2 / NEON behind a portable fallback, see packed_simd.h; on
+ * AVX-512F hosts shared by register-blocked rows from m = 8 on) — or,
+ * at decode-sized m on AVX-512F hosts, gathers the table straight into
  * the FMA with no panel at all — and applies the consumer's
  * element-wise epilogue — bias add, GeLU, residual add, quantize-back —
  * on the output tile while it is hot, instead of as separate
@@ -180,9 +180,9 @@ struct GemmEpilogue
  *    AVX-512F hosts: 32-column work items, each k step gathering the 8
  *    contiguous codes of a strip through the table once for all m rows
  *    (detail::gatherAccum).
- *  - m >= 8: each [kc x 32] (AVX-512F) or [kc x 8] (AVX2) code panel is
- *    decoded once per 64-row tile and shared by 4-row register blocks
- *    (detail::panelRows32 / panelRows8).
+ *  - m >= 8 on AVX-512F hosts: each [kc x 32] code panel is decoded
+ *    once per 64-row tile and shared by 4-row register blocks
+ *    (detail::panelRows32).
  *  - otherwise: each [kc x 8] panel runs through a one-row
  *    column-vectorized FMA loop (AVX2/NEON when available).
  *
@@ -298,15 +298,13 @@ enum class GemmArm {
                ///< panel (AVX-512F).
     kPanel32,  ///< [kc x 32] panel decoded once per 64-row tile, 4 rows
                ///< x 4 zmm strips (AVX-512F).
-    kPanel8x4, ///< [kc x 8] panel, 4 rows x 8 columns (AVX2).
     kPanelRow, ///< [kc x 8] panel, one row at a time (the AVX2 / NEON
                ///< dot kernel, else scalar).
     kPanelPortable, ///< kPanelRow with the scalar dot kernel.
 };
 
-/// The arm gemmQuantized takes: kGather for m < 8 with trans_w false;
-/// for m >= 8 the blocked panel arm of the host (kPanel32, else
-/// kPanel8x4, else kPanelRow); kPanelRow otherwise.
+/// The arm gemmQuantized takes: on AVX-512F hosts kGather for m < 8
+/// with trans_w false and kPanel32 for m >= 8; kPanelRow otherwise.
 GemmArm gemmQuantizedArm(int64_t m, bool trans_w);
 
 /// True when @p arm runs on this host (kGather also needs m < 8 and
@@ -322,13 +320,6 @@ void gemmQuantizedOn(GemmArm arm, const Tensor &a, bool trans_a,
                      const PackedTensor &w, bool trans_w, Tensor &c,
                      float alpha = 1.0f, float beta = 0.0f,
                      const GemmEpilogue *epi = nullptr);
-
-/// gemmQuantizedOn(GemmArm::kPanelRow, ...): the one-row panel arm,
-/// which every host has (the baseline the other arms replace).
-void gemmQuantizedPanel(const Tensor &a, bool trans_a,
-                        const PackedTensor &w, bool trans_w, Tensor &c,
-                        float alpha = 1.0f, float beta = 0.0f,
-                        const GemmEpilogue *epi = nullptr);
 
 /**
  * The KV GEMV panel kernels alone (the hosts without AVX-512F run

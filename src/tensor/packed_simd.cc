@@ -21,12 +21,6 @@ packedSimdAvailable()
     return ok;
 }
 
-bool
-packedRows8Available()
-{
-    return packedSimdAvailable();
-}
-
 const char *
 packedSimdName()
 {
@@ -53,54 +47,6 @@ dotChunk8Simd(const float *a, const double *w, int64_t kc, double *acc)
     }
     _mm256_storeu_pd(acc, acc0);
     _mm256_storeu_pd(acc + 4, acc1);
-}
-
-namespace {
-
-/// R rows x 8 columns: 2R ymm accumulators stay in registers across kc
-/// while each panel row is loaded once for all R rows.
-template <int R>
-void
-panelBlock8(const double *a, int64_t lda, const double *panel, int64_t kc,
-            double *acc)
-{
-    __m256d c[R][2];
-    for (int i = 0; i < R; ++i) {
-        c[i][0] = _mm256_loadu_pd(acc + i * 8);
-        c[i][1] = _mm256_loadu_pd(acc + i * 8 + 4);
-    }
-    for (int64_t t = 0; t < kc; ++t) {
-        const __m256d w0 = _mm256_loadu_pd(panel + t * 8);
-        const __m256d w1 = _mm256_loadu_pd(panel + t * 8 + 4);
-        for (int i = 0; i < R; ++i) {
-            // Float-valued doubles on both sides: the product is exact
-            // and the FMA rounds once, like the scalar add.
-            const __m256d av = _mm256_broadcast_sd(a + i * lda + t);
-            c[i][0] = _mm256_fmadd_pd(av, w0, c[i][0]);
-            c[i][1] = _mm256_fmadd_pd(av, w1, c[i][1]);
-        }
-    }
-    for (int i = 0; i < R; ++i) {
-        _mm256_storeu_pd(acc + i * 8, c[i][0]);
-        _mm256_storeu_pd(acc + i * 8 + 4, c[i][1]);
-    }
-}
-
-} // namespace
-
-void
-panelRows8(const double *a, int64_t lda, int64_t rows, const double *panel,
-           int64_t kc, double *acc)
-{
-    int64_t i = 0;
-    for (; i + 4 <= rows; i += 4)
-        panelBlock8<4>(a + i * lda, lda, panel, kc, acc + i * 8);
-    switch (rows - i) {
-      case 3: return panelBlock8<3>(a + i * lda, lda, panel, kc, acc + i * 8);
-      case 2: return panelBlock8<2>(a + i * lda, lda, panel, kc, acc + i * 8);
-      case 1: return panelBlock8<1>(a + i * lda, lda, panel, kc, acc + i * 8);
-      default: break;
-    }
 }
 
 #elif defined(__aarch64__) && defined(__ARM_NEON)
@@ -161,28 +107,6 @@ dotChunk8Simd(const float *a, const double *w, int64_t kc, double *acc)
         for (int jj = 0; jj < 8; ++jj)
             acc[jj] += av * w[t * 8 + jj];
     }
-}
-
-#endif
-
-#if !(defined(__AVX2__) && defined(__FMA__))
-
-bool
-packedRows8Available()
-{
-    return false;
-}
-
-void
-panelRows8(const double *a, int64_t lda, int64_t rows, const double *panel,
-           int64_t kc, double *acc)
-{
-    // Never dispatched (packedRows8Available() is false): NEON runs the
-    // one-row kernel. Scalar body so the symbol links everywhere.
-    for (int64_t i = 0; i < rows; ++i)
-        for (int64_t t = 0; t < kc; ++t)
-            for (int jj = 0; jj < 8; ++jj)
-                acc[i * 8 + jj] += a[i * lda + t] * panel[t * 8 + jj];
 }
 
 #endif

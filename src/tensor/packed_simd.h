@@ -23,10 +23,10 @@
  *
  * From m = 8 on, the decoded panel is shared by enough rows to pay for
  * itself, and the kernels are register-blocked over rows instead:
- * panelRows32 (AVX-512F, a [kc x 32] panel, 4 rows x 4 zmm strips) and
- * its AVX2 twin panelRows8 (a [kc x 8] panel, 4 rows x 2 ymm). Both read
- * the activations pre-converted to double, so the inner loop is
- * broadcast loads and FMAs only.
+ * panelRows32 (AVX-512F, a [kc x 32] panel, 4 rows x 4 zmm strips). It
+ * reads the activations pre-converted to double, so the inner loop is
+ * broadcast loads and FMAs only. Other hosts keep the one-row panel
+ * kernel at every m.
  */
 #ifndef QT8_TENSOR_PACKED_SIMD_H
 #define QT8_TENSOR_PACKED_SIMD_H
@@ -43,10 +43,6 @@ bool packedSimdAvailable();
 /// "+avx512-gather" when packedGatherAvailable().
 const char *packedSimdName();
 
-/// True when panelRows8 is the AVX2 kernel (x86 with AVX2 and FMA;
-/// checked once). NEON and portable builds run the one-row kernel.
-bool packedRows8Available();
-
 /// True when the AVX-512F gather kernels below can run (compiled in and
 /// supported by this CPU; checked once).
 bool packedGatherAvailable();
@@ -62,19 +58,6 @@ bool packedGatherAvailable();
  */
 void dotChunk8Simd(const float *a, const double *w, int64_t kc,
                    double *acc);
-
-/**
- * acc[i*8 + jj] += sum over t in [0, kc) of a[i*lda + t] * panel[t*8 + jj]
- * for i in [0, rows), jj in 0..7: dotChunk8Simd for @p rows rows at
- * once, four rows sharing each panel load. @p a holds float values
- * converted to double. Ascending t per element: bit-identical to
- * dotChunk8Simd row by row.
- *
- * Only call when packedRows8Available() (other builds compile a
- * scalar body so the symbol always links).
- */
-void panelRows8(const double *a, int64_t lda, int64_t rows,
-                const double *panel, int64_t kc, double *acc);
 
 /**
  * acc[i*ldacc + j] += sum over t in [0, k) of

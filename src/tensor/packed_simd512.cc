@@ -1,5 +1,6 @@
 #include "tensor/packed_simd.h"
 
+#include <cstdlib>
 #include <cstring>
 
 #if defined(__AVX512F__) && defined(__FMA__)
@@ -289,24 +290,20 @@ gatherDot8(const float *q, const uint8_t *const *rows, int64_t cols,
             acc[r] += static_cast<double>(q[c]) * table[rows[r][c]];
 }
 
+// The blocked arm's kernels only link here: gemmArmAvailable() refuses
+// kPanel32 on these builds, so they are unreachable.
 void
-decodePanel32(const uint8_t *codes, int64_t ldw, bool trans_w, int64_t kc,
-              const double *table, double *panel)
+decodePanel32(const uint8_t *, int64_t, bool, int64_t, const double *,
+              double *)
 {
-    for (int64_t t = 0; t < kc; ++t)
-        for (int64_t j = 0; j < 32; ++j)
-            panel[t * 32 + j] =
-                table[trans_w ? codes[j * ldw + t] : codes[t * ldw + j]];
+    std::abort();
 }
 
 void
-panelRows32(const double *a, int64_t lda, int64_t rows, const double *panel,
-            int64_t kc, double *acc)
+panelRows32(const double *, int64_t, int64_t, const double *, int64_t,
+            double *)
 {
-    for (int64_t i = 0; i < rows; ++i)
-        for (int64_t t = 0; t < kc; ++t)
-            for (int64_t j = 0; j < 32; ++j)
-                acc[i * 32 + j] += a[i * lda + t] * panel[t * 32 + j];
+    std::abort();
 }
 
 #endif

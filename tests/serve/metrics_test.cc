@@ -140,6 +140,51 @@ TEST(ServeMetrics, DumpMentionsEveryHistogram)
     EXPECT_NE(d.find("1 completed"), std::string::npos);
 }
 
+/// The engine publishes its metrics after every step by catching a
+/// copy up with the live record: the counters are copied whole, but
+/// only the records and samples added since the last publish are, so
+/// a publish costs the same however many requests have retired.
+TEST(ServeMetrics, CatchUpCopiesOnlyNewSamples)
+{
+    ServeMetrics live, published;
+    const auto retire = [&live](int64_t i) {
+        RequestRecord r;
+        r.status = RequestStatus::kOk;
+        r.generated_tokens = 3;
+        r.ttft_ms = static_cast<double>(i);
+        r.latency_ms = 2.0 * static_cast<double>(i);
+        live.recordRetirement(r);
+        live.token_latency_ms.record(0.5 * static_cast<double>(i));
+    };
+    for (int64_t i = 0; i < 1000; ++i)
+        retire(i);
+    live.steps = 1000;
+    const size_t first = published.catchUp(live);
+    EXPECT_GE(first, 3000u); // records, ttft, latency, token samples
+
+    retire(1000);
+    live.steps = 1001;
+    live.sessions_resident = 7;
+    const size_t next = published.catchUp(live);
+    // One record plus its request-level, per-class and token samples.
+    EXPECT_EQ(next, first / 1000);
+    EXPECT_EQ(0u, published.catchUp(live));
+
+    EXPECT_EQ(live.dump(), published.dump());
+    EXPECT_EQ(live.requests.size(), published.requests.size());
+    EXPECT_EQ(1001, published.steps);
+    EXPECT_EQ(7, published.sessions_resident);
+    EXPECT_EQ(live.completed, published.completed);
+    EXPECT_DOUBLE_EQ(live.token_latency_ms.percentile(99.0),
+                     published.token_latency_ms.percentile(99.0));
+    for (size_t c = 0; c < serve::kNumClasses; ++c) {
+        EXPECT_EQ(live.per_class[c].completed,
+                  published.per_class[c].completed);
+        EXPECT_EQ(live.per_class[c].ttft_ms.count(),
+                  published.per_class[c].ttft_ms.count());
+    }
+}
+
 /// Snapshot consistency under a live engine: a watcher thread pulls
 /// metricsSnapshot() while the scheduler thread admits and retires.
 /// Every snapshot must be internally consistent (a copy, not a torn

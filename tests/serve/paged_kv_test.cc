@@ -441,6 +441,64 @@ TEST(PagedKvEngine, SharedPrefixReuseSkipsPrefillAndStaysIdentical)
     EXPECT_GT(engine.metrics().prefix_hits, 0);
 }
 
+TEST(PagedKvEngine, SharedPrefixBurstPrefillsThePrefixOnce)
+{
+    const ModelConfig cfg = tinyLmConfig();
+    CausalLM model(cfg, 31337);
+    QuantSession qs(QuantConfig::posit8());
+    QuantSession qs_plain(QuantConfig::posit8());
+
+    EngineConfig ec{6, 48};
+    ec.paged = true;
+    ec.page_size = 4;
+    ec.prefill_chunk = 8; // the leader's prefill spans several steps
+    ServeEngine engine(model, qs, ec);
+
+    Rng rng(6);
+    const std::vector<int32_t> shared = makePrompt(rng, cfg.vocab, 14);
+    const std::vector<int32_t> other = makePrompt(rng, cfg.vocab, 9);
+    std::vector<Request> reqs;
+    for (int r = 0; r < 5; ++r) {
+        Request req;
+        req.prompt = r == 2 ? other : shared;
+        const auto tail = makePrompt(rng, cfg.vocab, 2 + r);
+        req.prompt.insert(req.prompt.end(), tail.begin(), tail.end());
+        req.max_new_tokens = 6;
+        req.eos = Vocab::kEos;
+        reqs.push_back(req);
+    }
+
+    // All submitted before the first step: one admission pass sees
+    // the whole burst while nothing is cached yet.
+    std::vector<std::shared_future<RequestResult>> futs;
+    int64_t prompt_rows = 0;
+    for (const Request &req : reqs) {
+        futs.push_back(engine.submit(req));
+        prompt_rows += static_cast<int64_t>(req.prompt.size());
+    }
+    engine.runUntilIdle();
+
+    // The followers waited for the leader's donation and adopted its
+    // 3 full shared pages (12 rows); request 2 shares nothing.
+    int64_t reused = 0;
+    for (size_t r = 0; r < reqs.size(); ++r) {
+        const RequestResult res = futs[r].get();
+        ASSERT_EQ(RequestStatus::kOk, res.status);
+        if (r == 0 || r == 2)
+            EXPECT_EQ(0, res.prefix_reused_tokens) << "request " << r;
+        else
+            EXPECT_GE(res.prefix_reused_tokens, 12) << "request " << r;
+        reused += res.prefix_reused_tokens;
+        const auto want = soloCausal(model, qs_plain, reqs[r].prompt,
+                                     reqs[r].max_new_tokens,
+                                     reqs[r].eos, reqs[r].sampling);
+        EXPECT_EQ(want, res.tokens) << "request " << r;
+    }
+    const serve::ServeMetrics m = engine.metrics();
+    EXPECT_EQ(3, m.prefix_hits);
+    EXPECT_EQ(prompt_rows - reused, m.prefill_tokens_computed);
+}
+
 TEST(PagedKvEngine, DirtyPageReuseStaysBitIdentical)
 {
     const ModelConfig cfg = tinyLmConfig();

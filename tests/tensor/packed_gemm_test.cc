@@ -294,9 +294,8 @@ TEST(GemmQuantized, FusedEpilogueBitIdenticalToSeparatePasses)
 TEST(GemmQuantized, EveryArmBitIdenticalToReference)
 {
     // gemmQuantized picks one arm per shape and host; every arm this
-    // host can run (the AVX2 twin and the portable one-row kernel
-    // included, on an AVX-512 host) must produce the reference's bits,
-    // beta path and epilogue health included.
+    // host can run (the portable one-row kernel included) must produce
+    // the reference's bits, beta path and epilogue health included.
     using detail::GemmArm;
     const Quantizer fwd = Quantizer::byName("posit(8,1)");
     const Quantizer carrier = Quantizer::bf16();
@@ -305,8 +304,8 @@ TEST(GemmQuantized, EveryArmBitIdenticalToReference)
                                  {1, 300, 513}};
     Rng rng(31);
     for (const GemmArm arm :
-         {GemmArm::kGather, GemmArm::kPanel32, GemmArm::kPanel8x4,
-          GemmArm::kPanelRow, GemmArm::kPanelPortable}) {
+         {GemmArm::kGather, GemmArm::kPanel32, GemmArm::kPanelRow,
+          GemmArm::kPanelPortable}) {
         if (!detail::gemmArmAvailable(arm))
             continue;
         for (const Shape &s : shapes) {
@@ -445,8 +444,8 @@ TEST(GemmQuantized, PanelArmBitIdenticalToGatherArm)
                 ffnTail(true, bias, skip, fwd, carrier, hp);
             Tensor cg({s.m, s.n}), cp({s.m, s.n});
             gemmQuantized(a, ta, pw, false, cg, 1.0f, 0.0f, &eg);
-            detail::gemmQuantizedPanel(a, ta, pw, false, cp, 1.0f, 0.0f,
-                                       &ep);
+            detail::gemmQuantizedOn(detail::GemmArm::kPanelRow, a, ta, pw,
+                                    false, cp, 1.0f, 0.0f, &ep);
             expectBitIdentical(cg, cp, what);
             expectSameHealth(hg, hp, what);
         }
